@@ -4,7 +4,7 @@ Two base algebras are supported:
 
 * ``FormalPoint`` -- the exterior algebra on a handful of anticommuting
   generators over the complex numbers (a point base with formal form
-  directions).
+  directions), optionally truncated above a degree.
 * ``CircleBase`` -- functions sampled on a uniform grid over a circle of
   given circumference, together with function-times-dtheta one-forms.
   Derivatives are spectral (FFT), so smooth data differentiates to
@@ -14,16 +14,29 @@ On top of either algebra we provide matrices with entries in the algebra
 (``FormMatrix``), a supertrace against an integer grading, the
 normalization operator ``phi_rescale`` and the entire functions
 ``exp``, ``f(a) = a e^{a^2}`` and ``f'(a) = (1 + 2a^2) e^{a^2}`` of a
-matrix argument: either a form-valued ``FormMatrix``, or a plain stack
-of degree-0 matrices evaluated in one batched call.
+matrix argument.
+
+All form-valued arithmetic goes through one representation, the regular
+representation: ``sum_I xi_I M_I`` acts on (forms) x C^n by left
+multiplication, xi_K x ``x`` -> sign(I, K) xi_{I u K} x S^{|K|} M_I S^{|K|} x,
+with S = diag((-1)^grading) carrying the Koszul sign.  That is an
+ordinary matrix of size n * (number of basis forms): 2n on a circle,
+where A + B dtheta becomes [[A, 0], [B, S A S]] at each grid point (Van
+Loan 1978), and n 2^k on ``FormalPoint(k)``, fewer under truncation.
+Its first block column holds the blocks M_I themselves.  Products of
+form-valued matrices and of forms are products of these matrices, and
+exp, f and f' of a form-valued matrix are ordinary matrix functions.  One
+kernel evaluates the exponential of a whole stack of matrices at once by
+Pade scaling and squaring (Higham 2005).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm as _expm_stack
 
 __all__ = [
     "FormalPoint",
@@ -32,6 +45,7 @@ __all__ = [
     "FormMatrix",
     "wedge_mul",
     "supertrace",
+    "regular_supertrace",
     "phi_rescale",
     "matrix_function",
     "exterior_d",
@@ -41,6 +55,21 @@ __all__ = [
 # Fixed branch of (2 i pi)^{1/2}; chosen so that the odd characteristic
 # forms below come out real.
 PHI_ROOT = complex(np.sqrt(2.0 * np.pi)) * np.exp(0.25j * np.pi)
+
+# Slices per pass of the exponential kernel: bounds its temporaries, so
+# peak memory does not grow with the stack.
+EXPM_CHUNK = 128
+
+# Degree-13 Pade coefficients and the 1-norm up to which that approximant
+# of exp is accurate to double precision (Higham 2005, Table 2.3).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+# Rows P0..P3: coefficients of I, A^2, A^4, A^6 in U = A (A^6 P0 + P1), V = A^6 P2 + P3.
+_PADE13_EVEN = np.array([(0.0,) + _PADE13[9::2], _PADE13[1:8:2],
+                         (0.0,) + _PADE13[8:13:2], _PADE13[0:7:2]])
 
 
 class AlgebraError(ValueError):
@@ -98,8 +127,8 @@ class CircleBase:
         return key
 
     def derivative(self, values: np.ndarray) -> np.ndarray:
-        """Spectral d/dtheta along the leading axis... actually the last axis
-        is the matrix axis; grid is axis 0."""
+        """Spectral d/dtheta along axis 0, the grid axis; any trailing
+        axes (matrix indices) are carried along."""
         n = self.grid_size
         freqs = 2.0j * np.pi * np.fft.fftfreq(n) * n / self.circumference
         spec = np.fft.fft(values, axis=0)
@@ -128,6 +157,28 @@ def _merge_masks(m1: int, m2: int):
     return sign, m1 | m2
 
 
+@lru_cache(maxsize=32)
+def _basis(algebra):
+    """Basis keys in coefficient order, and the multiplication table.
+
+    Keys are generator masks; the circle's keys 0 and dtheta = 1 multiply
+    like the masks of one generator.  The table lists
+    (key_i, k, j, sign, odd) with key_i key_k = sign key_j and odd the
+    parity of key_k's degree, dropping products above the algebra's top
+    degree.
+    """
+    top = 2 if isinstance(algebra, CircleBase) else 1 << algebra.n_generators
+    keys = tuple(m for m in range(top) if algebra.key_degree(m) <= algebra.max_degree)
+    index = {key: i for i, key in enumerate(keys)}
+    table = []
+    for k1 in keys:
+        for k, k2 in enumerate(keys):
+            merged = _merge_masks(k1, k2)
+            if merged is not None and merged[1] in index:
+                table.append((k1, k, index[merged[1]], merged[0], algebra.key_degree(k2) % 2))
+    return keys, tuple(table)
+
+
 class FormElement:
     """Homogeneous-by-degree container for an element of the algebra.
 
@@ -150,19 +201,6 @@ class FormElement:
 
     # ---- ring structure -------------------------------------------------
 
-    @staticmethod
-    def zero(algebra) -> "FormElement":
-        return FormElement(algebra)
-
-    @staticmethod
-    def scalar(algebra, value) -> "FormElement":
-        if isinstance(algebra, CircleBase):
-            return FormElement(algebra, {0: np.full(algebra.grid_size, value, dtype=complex)})
-        return FormElement(algebra, {0: value})
-
-    def copy(self) -> "FormElement":
-        return FormElement(self.algebra, dict(self.data))
-
     def __add__(self, other: "FormElement") -> "FormElement":
         _check_same_algebra(self, other)
         out = dict(self.data)
@@ -181,26 +219,14 @@ class FormElement:
     __rmul__ = __mul__
 
     def wedge(self, other: "FormElement") -> "FormElement":
+        """Product as 1 x 1 form-valued matrices of even grading."""
         _check_same_algebra(self, other)
-        alg = self.algebra
-        out = {}
-        for k1, v1 in self.data.items():
-            for k2, v2 in other.data.items():
-                if isinstance(alg, FormalPoint):
-                    merged = _merge_masks(k1, k2)
-                    if merged is None:
-                        continue
-                    sign, key = merged
-                    term = sign * v1 * v2
-                else:
-                    key = k1 + k2
-                    if key > 1:
-                        continue
-                    term = v1 * v2
-                if alg.key_degree(key) > alg.max_degree:
-                    continue
-                out[key] = out[key] + term if key in out else term
-        return FormElement(alg, out)
+        prod = self._as_matrix() @ other._as_matrix()
+        return FormElement(self.algebra, {k: v[..., 0, 0] for k, v in prod.data.items()})
+
+    def _as_matrix(self) -> "FormMatrix":
+        return FormMatrix(self.algebra, 1, (0,),
+                          {k: np.asarray(v)[..., None, None] for k, v in self.data.items()})
 
     # ---- inspection -----------------------------------------------------
 
@@ -223,32 +249,17 @@ class FormElement:
         return max((float(np.max(np.abs(np.imag(v)))) for v in self.data.values()), default=0.0)
 
     def to_vector(self) -> np.ndarray:
-        """Flatten all coefficients into one complex vector (fixed key order)."""
-        keys = self._all_keys()
-        if isinstance(self.algebra, CircleBase):
-            parts = [np.atleast_1d(self.coefficient(k)) for k in keys]
-            return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
-        return np.array([self.coefficient(k) for k in keys], dtype=complex)
-
-    def _all_keys(self):
-        alg = self.algebra
-        if isinstance(alg, CircleBase):
-            return [0, 1]
-        return [m for m in range(1 << alg.n_generators) if alg.key_degree(m) <= alg.max_degree]
+        """Flatten all coefficients into one complex vector: basis keys in
+        order, each followed by its grid on a circle."""
+        return np.concatenate([np.ravel(self.coefficient(k)) for k in _basis(self.algebra)[0]])
 
     @staticmethod
     def from_vector(algebra, vec: np.ndarray) -> "FormElement":
-        probe = FormElement.zero(algebra)
-        keys = probe._all_keys()
-        data = {}
-        if isinstance(algebra, CircleBase):
-            g = algebra.grid_size
-            for i, k in enumerate(keys):
-                data[k] = np.asarray(vec[i * g:(i + 1) * g], dtype=complex)
-        else:
-            for i, k in enumerate(keys):
-                data[k] = complex(vec[i])
-        return FormElement(algebra, data)
+        keys = _basis(algebra)[0]
+        parts = np.split(np.asarray(vec, dtype=complex), len(keys))
+        if not isinstance(algebra, CircleBase):
+            parts = [p[0] for p in parts]
+        return FormElement(algebra, dict(zip(keys, parts)))
 
 
 class FormMatrix:
@@ -286,12 +297,7 @@ class FormMatrix:
 
     @staticmethod
     def identity(algebra, size, grading) -> "FormMatrix":
-        out = FormMatrix(algebra, size, grading)
-        eye = np.eye(size, dtype=complex)
-        if isinstance(algebra, CircleBase):
-            eye = np.broadcast_to(eye, (algebra.grid_size, size, size)).copy()
-        out.data[0] = eye
-        return out
+        return FormMatrix.from_plain(algebra, np.eye(size), grading)
 
     @staticmethod
     def from_plain(algebra, mat: np.ndarray, grading) -> "FormMatrix":
@@ -303,9 +309,44 @@ class FormMatrix:
         out.data[0] = mat
         return out
 
-    def copy(self) -> "FormMatrix":
-        return FormMatrix(self.algebra, self.size, self.grading,
-                          {k: v.copy() for k, v in self.data.items()})
+    def _like(self, data) -> "FormMatrix":
+        """Same algebra, size and grading, with blocks already checked."""
+        out = object.__new__(FormMatrix)
+        out.algebra, out.size, out.grading, out.data = self.algebra, self.size, self.grading, data
+        return out
+
+    # ---- regular representation -----------------------------------------
+
+    def regular(self) -> np.ndarray:
+        """This matrix as left multiplication on (forms) x C^n.
+
+        An ordinary matrix of size n * (number of basis forms), with the
+        circle's grid as a leading axis.  Block (J, K) is
+        sign(I, K) S^{|K|} M_I S^{|K|} where xi_I xi_K = sign(I, K) xi_J,
+        so block column 0 lists the blocks M_I in coefficient order.
+        """
+        keys, table = _basis(self.algebra)
+        if len(keys) == 1:  # no form generators: the block itself
+            return self.block(0)
+        n, nk = self.size, len(keys)
+        lead = self._block_shape()[:-2]
+        out = np.zeros(lead + (nk, n, nk, n), dtype=complex)
+        s = np.array([(-1.0) ** g for g in self.grading])
+        for key, k, j, sign, odd in table:
+            blk = self.data.get(key)
+            if blk is not None:
+                if odd:
+                    blk = blk * np.outer(s, s)
+                out[..., j, :, k, :] = blk if sign > 0 else -blk
+        return out.reshape(lead + (nk * n, nk * n))
+
+    def from_regular(self, rep: np.ndarray) -> "FormMatrix":
+        """The matrix over this one's algebra, of its size and grading,
+        whose regular representation (or that representation's first
+        block column) is ``rep``."""
+        n = self.size
+        keys = _basis(self.algebra)[0]
+        return self._like({key: rep[..., i * n:(i + 1) * n, :n] for i, key in enumerate(keys)})
 
     # ---- arithmetic -----------------------------------------------------
 
@@ -320,46 +361,24 @@ class FormMatrix:
         return self + (other * (-1.0))
 
     def __mul__(self, c) -> "FormMatrix":
-        return FormMatrix(self.algebra, self.size, self.grading,
-                          {k: v * c for k, v in self.data.items()})
+        return self._like({k: v * c for k, v in self.data.items()})
 
     __rmul__ = __mul__
-
-    def _parity_signs(self) -> np.ndarray:
-        """Outer sign matrix (-1)^{g_i + g_j}, the endomorphism parity per entry."""
-        s = np.array([(-1.0) ** g for g in self.grading])
-        return np.outer(s, s)
 
     def __matmul__(self, other: "FormMatrix") -> "FormMatrix":
         """Product in the super tensor algebra of forms and endomorphisms.
 
         When the right factor has odd form degree, the left factor picks
         up a Koszul sign on its parity-odd entries (the entry's
-        endomorphism parity moves past the form coefficient).
+        endomorphism parity moves past the form coefficient); the regular
+        representation carries that sign.
         """
         _check_same_algebra(self, other)
         if self.size != other.size:
             raise AlgebraError("size mismatch in matrix product")
-        alg = self.algebra
-        parity = self._parity_signs()
-        out = {}
-        for k1, b1 in self.data.items():
-            for k2, b2 in other.data.items():
-                if isinstance(alg, FormalPoint):
-                    merged = _merge_masks(k1, k2)
-                    if merged is None:
-                        continue
-                    sign, key = merged
-                else:
-                    sign, key = 1, k1 + k2
-                    if key > 1:
-                        continue
-                if alg.key_degree(key) > alg.max_degree:
-                    continue
-                left = b1 * parity if alg.key_degree(k2) % 2 else b1
-                term = sign * (left @ b2)
-                out[key] = out[key] + term if key in out else term
-        return FormMatrix(alg, self.size, self.grading, out)
+        if not (self.data and other.data):
+            return self._like({})
+        return self.from_regular(self.regular() @ other.regular()[..., :other.size])
 
     # ---- inspection -----------------------------------------------------
 
@@ -367,14 +386,6 @@ class FormMatrix:
         if key in self.data:
             return self.data[key]
         return np.zeros(self._block_shape(), dtype=complex)
-
-    def degree0_norm(self) -> float:
-        if 0 not in self.data:
-            return 0.0
-        blk = self.data[0]
-        if blk.ndim == 3:
-            return float(np.max(np.linalg.norm(blk, ord=2, axis=(1, 2))))
-        return float(np.linalg.norm(blk, ord=2))
 
     def norm(self) -> float:
         return max((float(np.max(np.abs(v))) for v in self.data.values()), default=0.0)
@@ -388,70 +399,106 @@ def wedge_mul(a: FormMatrix, b: FormMatrix) -> FormMatrix:
 def supertrace(m: FormMatrix) -> FormElement:
     """Sum of diagonal entries weighted by (-1)^{grading}."""
     signs = np.array([(-1.0) ** g for g in m.grading])
-    out = {}
-    for key, blk in m.data.items():
-        diag = np.diagonal(blk, axis1=-2, axis2=-1)
-        out[key] = np.sum(diag * signs, axis=-1)
-    return FormElement(m.algebra, out)
+    return FormElement(m.algebra, {key: np.diagonal(blk, axis1=-2, axis2=-1) @ signs
+                                   for key, blk in m.data.items()})
+
+
+def regular_supertrace(algebra, reps: np.ndarray, weights) -> np.ndarray:
+    """Weighted traces sum_i weights_i (M_I)_ii of every block M_I, for a
+    stack of regular representations of shape (..., [grid,] N, N).
+
+    Returns shape (..., number of coefficients), each row in
+    ``FormElement.to_vector`` order.
+    """
+    weights = np.asarray(weights)
+    n, nk = len(weights), len(_basis(algebra)[0])
+    col = reps[..., :n]
+    traces = np.diagonal(col.reshape(col.shape[:-2] + (nk, n, n)), axis1=-2, axis2=-1) @ weights
+    if isinstance(algebra, CircleBase):  # (..., grid, keys) -> (..., keys * grid)
+        traces = np.swapaxes(traces, -1, -2)
+        return traces.reshape(traces.shape[:-2] + (-1,))
+    return traces
 
 
 def phi_rescale(obj):
     """Multiply each degree-k component by (2 i pi)^{-k/2} (fixed branch)."""
-    factors = {}
-
-    def factor(deg):
-        if deg not in factors:
-            factors[deg] = PHI_ROOT ** (-deg)
-        return factors[deg]
-
+    data = {k: v * PHI_ROOT ** (-obj.algebra.key_degree(k)) for k, v in obj.data.items()}
     if isinstance(obj, FormMatrix):
-        data = {k: v * factor(obj.algebra.key_degree(k)) for k, v in obj.data.items()}
-        return FormMatrix(obj.algebra, obj.size, obj.grading, data)
-    data = {k: v * factor(obj.algebra.key_degree(k)) for k, v in obj.data.items()}
+        return obj._like(data)
     return FormElement(obj.algebra, data)
 
 
-def _expm(m: FormMatrix) -> FormMatrix:
-    """Matrix exponential by scaling-and-squaring plus a Taylor series.
+def _expm_pade(a: np.ndarray) -> np.ndarray:
+    """exp of an (m, n, n) stack by degree-13 Pade scaling and squaring,
+    with the number of squarings chosen per slice.
 
-    The coefficient algebra is nilpotent above degree 0, so convergence
-    is controlled entirely by the degree-0 block norm.
+    The approximant is formed as I + (V - U)^{-1} 2U rather than
+    (V - U)^{-1} (V + U), which keeps the relative accuracy of the small
+    deviation from I when the exponent is small; the squarings then act
+    on the approximant itself, so decayed modes keep theirs.
     """
-    for blk in m.data.values():
-        if not np.all(np.isfinite(blk)):
-            raise FloatingPointError("non-finite entries in matrix exponential")
-    norm0 = m.degree0_norm()
-    squarings = 0
-    if norm0 > 0.5:
-        squarings = int(np.ceil(np.log2(norm0 / 0.5)))
-    scaled = m * (0.5 ** squarings)
-    result = FormMatrix.identity(m.algebra, m.size, m.grading)
-    term = FormMatrix.identity(m.algebra, m.size, m.grading)
-    for k in range(1, 60):
-        term = (term @ scaled) * (1.0 / k)
-        result = result + term
-        if term.norm() < 1e-19 * max(result.norm(), 1.0):
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    n = a.shape[-1]
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    squarings = np.ceil(np.log2(np.maximum(norms, _THETA13) / _THETA13)).astype(int)
+    # decreasing squarings, so that each squaring acts on a leading block
+    order = np.argsort(-squarings, kind="stable")
+    squarings = squarings[order]
+    a = a[order] * np.ldexp(1.0, -squarings)[:, None, None]
+    a2 = a @ a
+    a4 = a2 @ a2
+    powers = np.stack([np.broadcast_to(np.eye(n), a.shape), a2, a4, a4 @ a2])
+    # the four even polynomials, as one real product
+    even = (_PADE13_EVEN @ powers.view(float).reshape(4, -1)).view(complex).reshape(powers.shape)
+    u = a @ (powers[3] @ even[0] + even[1])
+    v = powers[3] @ even[2] + even[3]
+    r = np.linalg.solve(v - u, 2.0 * u) + powers[0]
+    for k in range(squarings[0]):
+        head = r[:np.count_nonzero(squarings > k)]
+        head[...] = head @ head
+    return r[np.argsort(order)]
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of every matrix in a stack of shape (..., n, n).
+
+    Exactly diagonal slices get the exponential of their diagonal; the
+    rest go through ``_expm_pade`` in chunks of ``EXPM_CHUNK`` slices.
+    """
+    if not np.isfinite(a).all():
+        raise FloatingPointError("non-finite entries in matrix exponential")
+    n = a.shape[-1]
+    out = np.zeros(a.shape, dtype=complex)
+    if n == 0:
+        return out
+    m = math.prod(a.shape[:-2])
+    flat, out = a.reshape((m, n, n)), out.reshape((m, n, n))
+    # off-diagonal entries: drop the last, and the rest fall in columns 1..n
+    diagonal = ~flat.reshape(m, n * n)[:, :-1].reshape(m, n - 1, n + 1)[:, :, 1:].any(axis=(1, 2))
+    ii = np.arange(n)
+    rows = np.nonzero(diagonal)[0][:, None]
+    out[rows, ii, ii] = np.exp(flat[rows, ii, ii])
+    rest = np.nonzero(~diagonal)[0]
+    for lo in range(0, len(rest), EXPM_CHUNK):
+        sel = rest[lo:lo + EXPM_CHUNK]
+        out[sel] = _expm_pade(flat[sel])
+    return out.reshape(a.shape)
 
 
 def matrix_function(m, which: str):
     """Evaluate exp, f(a) = a e^{a^2} or f'(a) = (1+2a^2) e^{a^2} at a matrix.
 
-    ``m`` is a ``FormMatrix`` (evaluated by ``_expm`` over its coefficient
-    algebra) or an ndarray of shape ``(..., n, n)`` holding a stack of
-    degree-0 matrices, evaluated all at once by scaling and squaring with
-    a Pade approximant (``scipy.linalg.expm``, Higham 2005).
+    ``m`` is a ``FormMatrix``, whose exponential is taken in its regular
+    representation, or an ndarray of shape ``(..., n, n)`` holding a
+    stack of matrices, evaluated all at once.
     """
     if isinstance(m, FormMatrix):
-        expm, ident = _expm, FormMatrix.identity(m.algebra, m.size, m.grading)
+        ident = FormMatrix.identity(m.algebra, m.size, m.grading)
+
+        def expm(a):  # exp(0) = I
+            return a.from_regular(_expm(a.regular())) if a.data else ident
     else:
         m = np.asarray(m, dtype=complex)
-        if not np.all(np.isfinite(m)):
-            raise FloatingPointError("non-finite entries in matrix exponential")
-        expm, ident = _expm_stack, np.eye(m.shape[-1])
+        expm, ident = _expm, np.eye(m.shape[-1])
     if which == "exp":
         return expm(m)
     msq = m @ m

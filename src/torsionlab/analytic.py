@@ -248,7 +248,8 @@ def torsion_via_heat_integral(g: ModelGeometry,
     (chi and chi' are rank-weighted cohomology counts) over
     (0, infinity); the integrand extends continuously to t = 0 and
     decays exponentially, so the upper range is summed over dyadic
-    windows until a window falls below the tolerance.
+    windows until, past the decay time of the slowest mode, a window
+    falls below the tolerance.
     """
     chi, chi_prime = euler_characteristics(g)
     s = spectrum(g)
@@ -265,11 +266,15 @@ def torsion_via_heat_integral(g: ModelGeometry,
     total = lower
     hi = 1.0
     cut = 0.1 * quad.tolerance
+    # The slowest mode decays like exp(-lam_min t).  Before t = 1/lam_min a
+    # window can be small only because the heat trace still follows its
+    # small-time counterterm, so the stopping test waits until then.
+    lam_min = min((f.c * f.a) ** 2 for fams in s.families for f in fams)
     for _ in range(60):
         window, werr = adaptive_quad(integrand, hi, 2.0 * hi, quad)
         total += window
         err += werr
-        if abs(window) < cut:
+        if hi * lam_min >= 1.0 and abs(window) < cut:
             break
         hi *= 2.0
     else:

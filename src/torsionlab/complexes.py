@@ -31,6 +31,7 @@ from .algebra import (
     PHI_ROOT,
     matrix_function,
     phi_rescale,
+    regular_supertrace,
     supertrace,
 )
 from .quad import QuadratureSpec, adaptive_quad
@@ -136,19 +137,6 @@ class MetricComplex:
             out[sl[i + 1], sl[i]] = vi
         return out
 
-    def h_total(self) -> np.ndarray:
-        n = self.total_dim
-        sl = self.block_slices()
-        if isinstance(self.base, CircleBase):
-            out = np.zeros((self.base.grid_size, n, n), dtype=complex)
-            for i, hi in enumerate(self.h):
-                out[:, sl[i], sl[i]] = hi
-        else:
-            out = np.zeros((n, n), dtype=complex)
-            for i, hi in enumerate(self.h):
-                out[sl[i], sl[i]] = hi
-        return out
-
     def validate(self):
         scale = max([np.linalg.norm(vi) for vi in self.v], default=0.0)
         for i in range(len(self.v) - 1):
@@ -229,42 +217,33 @@ def rescale_metric(E: MetricComplex, t: float) -> MetricComplex:
     return E.with_metric([(t ** i) * hi for i, hi in enumerate(E.h)])
 
 
+def _solved_total(E: MetricComplex, pairs, offset: int = 0) -> np.ndarray:
+    """Total matrix with a^{-1} b, for the i-th pair (a, b), in the block
+    mapping E^{i+offset} to E^i (a grid of them over a circle base)."""
+    lead = (E.base.grid_size,) if isinstance(E.base, CircleBase) else ()
+    out = np.zeros(lead + (E.total_dim,) * 2, dtype=complex)
+    sl = E.block_slices()
+    for i, (a, b) in enumerate(pairs):
+        if a.size and b.size:
+            out[..., sl[i], sl[i + offset]] = np.linalg.solve(a, b)
+    return out
+
+
 def omega(E: MetricComplex) -> FormMatrix:
     """The odd matrix h^{-1} (d h) of the metric, as a one-form."""
     alg = E.form_algebra()
-    n = E.total_dim
     if isinstance(alg, CircleBase):
-        sl = E.block_slices()
-        blk = np.zeros((alg.grid_size, n, n), dtype=complex)
-        for i, hi in enumerate(E.h):
-            if E.dims[i] == 0:
-                continue
-            hprime = alg.derivative(hi)
-            blk[:, sl[i], sl[i]] = np.linalg.solve(hi, hprime)
-        return FormMatrix(alg, n, E.grading, {1: blk})
+        blk = _solved_total(E, [(hi, alg.derivative(hi)) for hi in E.h])
+        return FormMatrix(alg, E.total_dim, E.grading, {1: blk})
     if E.omega_data is not None:
         return E.omega_data
-    return FormMatrix(alg, n, E.grading)
+    return FormMatrix(alg, E.total_dim, E.grading)
 
 
 def _v_adjoint(E: MetricComplex) -> np.ndarray:
     """h-adjoint of the total differential, blockwise h_i^{-1} v_i^dagger h_{i+1}."""
-    n = E.total_dim
-    sl = E.block_slices()
-    if isinstance(E.base, CircleBase):
-        out = np.zeros((E.base.grid_size, n, n), dtype=complex)
-        for i, vi in enumerate(E.v):
-            if min(vi.shape) == 0:
-                continue
-            rhs = vi.conj().T[None] @ E.h[i + 1]
-            out[:, sl[i], sl[i + 1]] = np.linalg.solve(E.h[i], rhs)
-        return out
-    out = np.zeros((n, n), dtype=complex)
-    for i, vi in enumerate(E.v):
-        if min(vi.shape) == 0:
-            continue
-        out[sl[i], sl[i + 1]] = np.linalg.solve(E.h[i], vi.conj().T @ E.h[i + 1])
-    return out
+    return _solved_total(E, [(E.h[i], vi.conj().T @ E.h[i + 1])
+                             for i, vi in enumerate(E.v)], offset=1)
 
 
 def x_t(E: MetricComplex, t: float) -> FormMatrix:
@@ -279,9 +258,7 @@ def x_t(E: MetricComplex, t: float) -> FormMatrix:
 
 
 def _x_t(w: FormMatrix, vmat: np.ndarray, vstar: np.ndarray, t: float) -> FormMatrix:
-    data = dict(w.data)
-    data[0] = w.block(0) + 0.5 * (t * vstar - vmat)
-    return FormMatrix(w.algebra, w.size, w.grading, data)
+    return w + FormMatrix.from_plain(w.algebra, 0.5 * (t * vstar - vmat), w.grading)
 
 
 def char_form(E: MetricComplex) -> FormElement:
@@ -313,34 +290,30 @@ def torsion_form(E: MetricComplex, quad: QuadratureSpec = QuadratureSpec()) -> T
     d_E, d_H, betti = _chi_sums(E)
     alg = E.form_algebra()
     if E.total_dim == 0:
-        zero = FormElement.zero(alg)
+        zero = FormElement(alg)
         return TorsionFormResult(zero, 0.0, 0.0, d_E, d_H, betti)
 
     # Everything below except f'(X_t) itself is independent of t.
+    # phi_rescale multiplies degree k by c^k, an automorphism of the
+    # algebra, so it commutes with f'.  X_t is affine in t, and so is its
+    # regular representation: rep0 + t rep1.
     w, vmat, vstar = omega(E), E.v_total(), _v_adjoint(E)
+    rep0 = phi_rescale(_x_t(w, vmat, vstar, 0.0)).regular()
+    rep1 = FormMatrix.from_plain(alg, 0.5 * vstar, E.grading).regular()
+    node_axis = (-1,) + (1,) * rep0.ndim
     # supertrace against N/2: sum_i (-1)^{g_i} (g_i/2) M_ii
     weights = np.array([((-1.0) ** g) * 0.5 * g for g in E.grading])
-    keys = FormElement.zero(alg)._all_keys()
-    width = alg.grid_size if isinstance(alg, CircleBase) else 1
-    degree0_only = isinstance(alg, FormalPoint) and not w.data
+    # the degree-0 coefficient: one value, or one per grid point
+    degree0 = slice(0, alg.grid_size if isinstance(alg, CircleBase) else 1)
 
     def integrand(ts):
         """Rows of the form coefficients (FormElement.to_vector order) per t."""
-        if degree0_only:
-            x = 0.5 * (ts[:, None, None] * vstar - vmat)
-            blocks = {0: matrix_function(x, "f_prime")}
-        else:
-            fps = [phi_rescale(matrix_function(_x_t(w, vmat, vstar, t), "f_prime"))
-                   for t in ts]
-            blocks = {key: np.stack([fp.block(key) for fp in fps]) for key in keys}
-        out = np.zeros((len(ts), len(keys), width), dtype=complex)
-        for key, stack in blocks.items():
-            diag = np.diagonal(stack, axis1=-2, axis2=-1)
-            out[:, keys.index(key)] = (diag @ weights).reshape(len(ts), width)
+        fp = matrix_function(rep0 + ts.reshape(node_axis) * rep1, "f_prime")
+        out = regular_supertrace(alg, fp, weights)
         # counterterms: d_H/2 at t = infinity, (d_E - d_H)/2 f'(i sqrt(t)/2) at t = 0
-        out[:, 0] -= (0.5 * d_H + 0.5 * (d_E - d_H) * (1.0 - 0.5 * ts)
-                      * np.exp(-0.25 * ts))[:, None]
-        return out.reshape(len(ts), -1)
+        out[:, degree0] -= (0.5 * d_H + 0.5 * (d_E - d_H) * (1.0 - 0.5 * ts)
+                            * np.exp(-0.25 * ts))[:, None]
+        return out
 
     # dt/t = 2 du/u under both substitutions
     lower, err_lo = adaptive_quad(lambda u: integrand(u * u) * (2.0 / u)[:, None],
@@ -364,7 +337,7 @@ def torsion_form(E: MetricComplex, quad: QuadratureSpec = QuadratureSpec()) -> T
         hi = lo_end
     total = -(lower + upper)
     element = FormElement.from_vector(alg, total)
-    deg0 = element.degree_component(0).coefficient(0)
+    deg0 = element.coefficient(0)
     degree0 = np.real(deg0) if isinstance(alg, CircleBase) else float(np.real(deg0))
     return TorsionFormResult(element, degree0, err_lo + err_hi, d_E, d_H, betti)
 
@@ -397,21 +370,15 @@ def _metric_path(h0, h1, path: str):
             roots.append((sqa, vx, wx))
             logs.append(np.log(wx))
 
-        def h_at(l):
+        def at(l, derivative):
             out = []
             for (sqa, vx, wx), lw in zip(roots, logs):
-                xl = (vx * np.exp(l * lw)[..., None, :]) @ np.swapaxes(vx.conj(), -2, -1)
+                w = np.exp(l * lw) * lw if derivative else np.exp(l * lw)
+                xl = (vx * w[..., None, :]) @ np.swapaxes(vx.conj(), -2, -1)
                 out.append(sqa @ xl @ sqa)
             return out
 
-        def hdot_at(l):
-            out = []
-            for (sqa, vx, wx), lw in zip(roots, logs):
-                xl = (vx * (np.exp(l * lw) * lw)[..., None, :]) @ np.swapaxes(vx.conj(), -2, -1)
-                out.append(sqa @ xl @ sqa)
-            return out
-
-        return h_at, hdot_at
+        return (lambda l: at(l, False)), (lambda l: at(l, True))
     raise ValueError(f"unknown metric path {path!r}")
 
 
@@ -425,7 +392,6 @@ def tilde_f(E: MetricComplex, h0, h1, path: str = "linear",
     """
     alg = E.form_algebra()
     n = E.total_dim
-    sl = E.block_slices()
     h_at, hdot_at = _metric_path(h0, h1, path)
 
     def integrand(l):
@@ -433,23 +399,9 @@ def tilde_f(E: MetricComplex, h0, h1, path: str = "linear",
         hd = hdot_at(l)
         El = E.with_metric(hl)
         for blk in hl:
-            mats = blk if blk.ndim == 3 else blk[None]
-            if mats.shape[-1] and np.min(np.linalg.eigvalsh(mats)) <= 0:
+            if blk.shape[-1] and np.min(np.linalg.eigvalsh(blk)) <= 0:
                 raise ValueError("metric path left the positive-definite cone")
-        if isinstance(alg, CircleBase):
-            hinv_hd = np.zeros((alg.grid_size, n, n), dtype=complex)
-            for i in range(len(E.dims)):
-                if E.dims[i] == 0:
-                    continue
-                hli = hl[i] if hl[i].ndim == 3 else np.broadcast_to(hl[i], (alg.grid_size,) + hl[i].shape)
-                hdi = hd[i] if hd[i].ndim == 3 else np.broadcast_to(hd[i], (alg.grid_size,) + hd[i].shape)
-                hinv_hd[:, sl[i], sl[i]] = np.linalg.solve(hli, hdi)
-        else:
-            hinv_hd = np.zeros((n, n), dtype=complex)
-            for i in range(len(E.dims)):
-                if E.dims[i] == 0:
-                    continue
-                hinv_hd[sl[i], sl[i]] = np.linalg.solve(hl[i], hd[i])
+        hinv_hd = _solved_total(E, zip(hl, hd))
         factor = FormMatrix(alg, n, E.grading, {0: 0.5 * hinv_hd})
         fp = matrix_function(omega(El) * 0.5, "f_prime")
         return phi_rescale(supertrace(factor @ fp)).to_vector()

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from torsionlab.algebra import (
+    EXPM_CHUNK,
     CircleBase,
     FormalPoint,
     FormElement,
@@ -30,6 +32,27 @@ def random_form_matrix(rng, alg, size, grading, max_degree=None):
                 continue
             data[mask] = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     return FormMatrix(alg, size, grading, data)
+
+
+# An untruncated and a truncated exterior algebra, and a circle grid.
+ALGEBRAS = (FormalPoint(3), FormalPoint(3, truncation_degree=2), CircleBase(8, 2.0))
+
+
+def blockwise_product(a, b):
+    """Reference product, block by block: (xi_I M)(xi_K N) is
+    sign(I, K) xi_{I u K} (S^|K| M S^|K|) N, with sign(I, K) the parity of
+    the pairs i in I, k in K with i > k, and S = diag((-1)^grading)."""
+    s = np.array([(-1.0) ** g for g in a.grading])
+    out = {}
+    for k1, m in a.data.items():
+        for k2, n in b.data.items():
+            key = k1 | k2
+            if k1 & k2 or a.algebra.key_degree(key) > a.algebra.max_degree:
+                continue
+            inversions = sum(bin(k2 & ((1 << i) - 1)).count("1") for i in range(8) if k1 >> i & 1)
+            left = m * np.outer(s, s) if bin(k2).count("1") % 2 else m
+            out[key] = out.get(key, 0) + (-1) ** inversions * (left @ n)
+    return out
 
 
 class TestWedgeMul:
@@ -77,25 +100,37 @@ class TestWedgeMul:
     @given(st.integers(0, 2 ** 31 - 1))
     def test_associativity(self, seed):
         rng = np.random.default_rng(seed)
-        alg = FormalPoint(3)
-        ms = [random_form_matrix(rng, alg, 2, (0, 1)) for _ in range(3)]
-        left = wedge_mul(wedge_mul(ms[0], ms[1]), ms[2])
-        right = wedge_mul(ms[0], wedge_mul(ms[1], ms[2]))
-        for key in set(left.data) | set(right.data):
-            np.testing.assert_allclose(left.block(key), right.block(key), atol=1e-10)
+        for alg in ALGEBRAS:
+            ms = [random_form_matrix(rng, alg, 2, (0, 1)) for _ in range(3)]
+            left = wedge_mul(wedge_mul(ms[0], ms[1]), ms[2])
+            right = wedge_mul(ms[0], wedge_mul(ms[1], ms[2]))
+            for key in set(left.data) | set(right.data):
+                np.testing.assert_allclose(left.block(key), right.block(key), atol=1e-10)
+
+    def test_matches_blockwise_product(self):
+        rng = np.random.default_rng(4)
+        for alg in ALGEBRAS:
+            a, b = (random_form_matrix(rng, alg, 3, (0, 1, 2)) for _ in range(2))
+            prod, ref = wedge_mul(a, b), blockwise_product(a, b)
+            for key in set(prod.data) | set(ref):
+                np.testing.assert_allclose(prod.block(key), ref.get(key, 0), atol=1e-12)
 
     def test_graded_commutativity_of_elements(self):
         # homogeneous scalar elements: a b = (-1)^{|a||b|} b a
         rng = np.random.default_rng(3)
-        alg = FormalPoint(3)
-        for m1 in range(8):
-            for m2 in range(8):
-                a = FormElement(alg, {m1: rng.standard_normal() + 1j * rng.standard_normal()})
-                b = FormElement(alg, {m2: rng.standard_normal() + 1j * rng.standard_normal()})
-                d1, d2 = bin(m1).count("1"), bin(m2).count("1")
-                ab = a.wedge(b)
-                ba = b.wedge(a) * ((-1.0) ** (d1 * d2))
-                np.testing.assert_allclose(ab.to_vector(), ba.to_vector(), atol=1e-12)
+        for alg in ALGEBRAS:
+            keys = (0, 1) if isinstance(alg, CircleBase) else range(8)
+            shape = (alg.grid_size,) if isinstance(alg, CircleBase) else ()
+            for m1 in keys:
+                for m2 in keys:
+                    a = FormElement(alg, {m1: rng.standard_normal(shape)
+                                          + 1j * rng.standard_normal(shape)})
+                    b = FormElement(alg, {m2: rng.standard_normal(shape)
+                                          + 1j * rng.standard_normal(shape)})
+                    d1, d2 = bin(m1).count("1"), bin(m2).count("1")
+                    ab = a.wedge(b)
+                    ba = b.wedge(a) * ((-1.0) ** (d1 * d2))
+                    np.testing.assert_allclose(ab.to_vector(), ba.to_vector(), atol=1e-12)
 
     def test_circle_one_forms_square_to_zero(self):
         alg = CircleBase(8, 1.0)
@@ -121,7 +156,6 @@ class TestSupertrace:
         # str([A, B]) = 0: str(AB) = (-1)^{|A||B|} str(BA) with |.| the
         # total parity (form degree plus endomorphism parity).
         rng = np.random.default_rng(seed)
-        alg = FormalPoint(2)
         grading = (0, 0, 1)
 
         def prune(m, form_deg, e_parity):
@@ -133,21 +167,22 @@ class TestSupertrace:
                 for i in range(3):
                     for j in range(3):
                         if (grading[i] + grading[j]) % 2 == e_parity:
-                            cut[i, j] = blk[i, j]
+                            cut[..., i, j] = blk[..., i, j]
                 keep[key] = cut
-            return FormMatrix(alg, 3, grading, keep)
+            return FormMatrix(m.algebra, 3, grading, keep)
 
-        for fa in (0, 1, 2):
-            for fb in (0, 1, 2):
-                for pa in (0, 1):
-                    for pb in (0, 1):
-                        a = prune(random_form_matrix(rng, alg, 3, grading), fa, pa)
-                        b = prune(random_form_matrix(rng, alg, 3, grading), fb, pb)
-                        sign = (-1.0) ** ((fa + pa) * (fb + pb))
-                        lhs = supertrace(wedge_mul(a, b))
-                        rhs = supertrace(wedge_mul(b, a)) * sign
-                        np.testing.assert_allclose(lhs.to_vector(), rhs.to_vector(),
-                                                   atol=1e-10)
+        for alg in (FormalPoint(2), FormalPoint(3, truncation_degree=2), CircleBase(8, 2.0)):
+            for fa in (0, 1, 2):
+                for fb in (0, 1, 2):
+                    for pa in (0, 1):
+                        for pb in (0, 1):
+                            a = prune(random_form_matrix(rng, alg, 3, grading), fa, pa)
+                            b = prune(random_form_matrix(rng, alg, 3, grading), fb, pb)
+                            sign = (-1.0) ** ((fa + pa) * (fb + pb))
+                            lhs = supertrace(wedge_mul(a, b))
+                            rhs = supertrace(wedge_mul(b, a)) * sign
+                            np.testing.assert_allclose(lhs.to_vector(), rhs.to_vector(),
+                                                       atol=1e-10)
 
 
 class TestPhiRescale:
@@ -207,6 +242,10 @@ class TestMatrixFunction:
         z = FormMatrix(alg, 3, (0, 1, 2))
         out = matrix_function(z, "f_prime")
         np.testing.assert_allclose(out.block(0), np.eye(3), atol=1e-14)
+        np.testing.assert_array_equal(matrix_function(z, "exp").block(0), np.eye(3))
+        assert not matrix_function(z, "f").data
+        with pytest.raises(ValueError):
+            matrix_function(z, "g")
         np.testing.assert_allclose(matrix_function(np.zeros((4, 3, 3)), "f_prime"),
                                    np.broadcast_to(np.eye(3), (4, 3, 3)), atol=1e-14)
         check_tail_stack("f_prime", lambda z: (1.0 + 2.0 * z * z) * np.exp(z * z))
@@ -238,13 +277,82 @@ class TestMatrixFunction:
 
     def test_exp_with_grassmann_part(self):
         # exp(c + xi A) = e^c (I + xi A) for commuting degree-0 scalar part
-        alg = FormalPoint(1)
         c = 0.4
         a = np.array([[0.0, 2.0], [1.0, 0.0]], dtype=complex)
-        m = FormMatrix(alg, 2, (0, 1), {0: c * np.eye(2), 0b1: a})
+        for alg, key in ((FormalPoint(1), 0b1), (FormalPoint(3, truncation_degree=1), 0b10),
+                         (CircleBase(8, 2.0), 1)):
+            lead = (alg.grid_size,) if isinstance(alg, CircleBase) else ()
+            m = FormMatrix(alg, 2, (0, 1), {0: np.broadcast_to(c * np.eye(2), lead + (2, 2)),
+                                            key: np.broadcast_to(a, lead + (2, 2))})
+            out = matrix_function(m, "exp")
+            np.testing.assert_allclose(out.block(0), np.exp(c) * np.broadcast_to(np.eye(2), lead + (2, 2)), atol=1e-12)
+            np.testing.assert_allclose(out.block(key), np.exp(c) * np.broadcast_to(a, lead + (2, 2)), atol=1e-12)
+
+    def test_circle_degree1_is_frechet_derivative(self):
+        # exp(A + B dtheta) = e^A + S L(A, S B) dtheta, with L the Frechet
+        # derivative of exp and S = diag((-1)^grading) (Van Loan 1978)
+        rng = np.random.default_rng(21)
+        alg = CircleBase(8, 3.0)
+        grading = (0, 1, 1)
+        m = random_form_matrix(rng, alg, 3, grading)
         out = matrix_function(m, "exp")
-        np.testing.assert_allclose(out.block(0), np.exp(c) * np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(out.block(0b1), np.exp(c) * a, atol=1e-12)
+        s = np.array([(-1.0) ** g for g in grading])
+        for g in range(alg.grid_size):
+            a, b = m.block(0)[g], m.block(1)[g]
+            expa, frechet = scipy.linalg.expm_frechet(a, s[:, None] * b)
+            scale = np.linalg.norm(expa, 2) * (1.0 + np.linalg.norm(b, 2))
+            np.testing.assert_allclose(out.block(0)[g], expa, atol=1e-13 * scale)
+            np.testing.assert_allclose(out.block(1)[g], s[:, None] * frechet,
+                                       atol=1e-12 * scale)
+
+    def test_stack_matches_scipy_expm(self):
+        # The stack kernel against scipy's expm slice by slice: 1-norms
+        # from 1e-6 to 1e3, exactly diagonal and block-diagonal slices,
+        # and more slices than one chunk.
+        rng = np.random.default_rng(22)
+        n = 4
+        slices = []
+        for norm in np.logspace(-6, 3, 10):
+            h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for a in (1j * (h + h.conj().T), -(h @ h.conj().T), h):
+                if a is h and norm > 10.0:
+                    continue  # general matrices: keep e^A within range
+                slices.append(a * (norm / np.abs(a).sum(axis=0).max()))
+        slices.append(np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        slices.append(np.zeros((n, n)))
+        block = np.zeros((n, n), dtype=complex)
+        block[:2, :2] = rng.standard_normal((2, 2))
+        block[2:, 2:] = 40.0 * rng.standard_normal((2, 2))
+        slices.append(block)
+        stack = np.array(slices * (EXPM_CHUNK // len(slices) + 2))
+        assert len(stack) > EXPM_CHUNK
+        out = matrix_function(stack, "exp")
+        for a, got in zip(stack, out):
+            ref = scipy.linalg.expm(a)
+            bound = 1e-13 * (1.0 + np.abs(a).sum(axis=0).max()) * max(1.0, np.linalg.norm(ref, 2))
+            np.testing.assert_allclose(got, ref, atol=bound)
+        np.testing.assert_array_equal(out[-3], np.diag(np.exp(np.diag(slices[-3]))))
+        np.testing.assert_array_equal(out[-2], np.eye(n))
+        assert not np.any(out[-1][:2, 2:]) and not np.any(out[-1][2:, :2])
+
+    def test_small_exponent_keeps_relative_accuracy(self):
+        # e^A - I = A + A^2/2 + ... is small and must come out with
+        # relative accuracy: off the diagonal to rtol 1e-12, on it so that
+        # I + (e^A - I) is within half a unit in the last place of 1.
+        # The stack is -h h*, the shape of X_t^2 on a two-term complex.
+        rng = np.random.default_rng(23)
+        h = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        a = -(h @ np.swapaxes(h.conj(), -2, -1)) * np.logspace(-8, -3, 5)[:, None, None]
+        series, term = np.zeros_like(a), np.broadcast_to(np.eye(4), a.shape)
+        for k in range(1, 8):
+            term = term @ a / k
+            series += term
+        off = ~np.eye(4, dtype=bool)
+        got = matrix_function(a, "exp")
+        np.testing.assert_allclose(got[:, off], series[:, off], rtol=1e-12)
+        # (in extended precision where the platform has it)
+        diag = np.diagonal(got.astype(np.clongdouble) - 1.0 - series, axis1=-2, axis2=-1)
+        assert np.max(np.abs(diag)) <= 0.75 * np.spacing(1.0)
 
     def test_non_finite_raises(self):
         alg = FormalPoint(0)

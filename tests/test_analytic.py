@@ -155,6 +155,18 @@ class TestHeatIntegral:
             heat = torsion_via_heat_integral(g)
             assert heat == pytest.approx(scalar_torsion(g), abs=1e-7)
 
+    def test_slow_modes_against_closed_forms(self):
+        # Long mixed intervals and long twisted circles: the heat trace
+        # still matches its small-time counterterm over the first dyadic
+        # windows, long before the slowest mode has decayed.
+        cases = [(ModelGeometry("interval", L, bc="mixed", rank=r), -0.5 * r * LOG2)
+                 for L in (3.49, 4.0, 5.0) for r in (1, 2)]
+        theta = 1.0
+        cases += [(ModelGeometry("circle", L, holonomy=np.array([[np.exp(1j * theta)]])),
+                   -np.log(2.0 * np.sin(0.5 * theta))) for L in (7.0, 9.0)]
+        for g, expected in cases:
+            assert torsion_via_heat_integral(g) == pytest.approx(expected, abs=1e-7)
+
     def test_small_time_limit(self):
         # h(t) -> chi/4 as t -> 0 (chi is rank-weighted)
         for g in self.geometries():

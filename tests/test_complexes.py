@@ -189,18 +189,18 @@ class TestTorsionForm:
         assert t1 == pytest.approx(-t0, abs=1e-9)
 
     def test_degree0_batch_matches_form_valued_path(self):
-        # A zero omega_data one-form sends the same complex through the
-        # per-node form-valued integrand instead of the batched degree-0 one.
+        # Over FormalPoint(1), with a zero omega_data one-form, X_t is
+        # embedded as a 2n x 2n matrix instead of the point base's n x n.
         rng = np.random.default_rng(12)
         E = random_complex_instance(rng, length=2, max_dim=3)
         alg = FormalPoint(1)
         n = E.total_dim
         zero = FormMatrix(alg, n, E.grading, {0b1: np.zeros((n, n))})
-        batched = torsion_form(MetricComplex(E.dims, E.v, E.h, base=alg))
+        batched = torsion_form(MetricComplex(E.dims, E.v, E.h))
         per_node = torsion_form(MetricComplex(E.dims, E.v, E.h, base=alg,
                                               omega_data=zero))
-        np.testing.assert_allclose(batched.element.to_vector(),
-                                   per_node.element.to_vector(), atol=1e-12)
+        np.testing.assert_allclose(per_node.element.to_vector(),
+                                   [batched.degree0, 0.0], atol=1e-12)
 
     def test_result_is_real_and_even_on_circle(self):
         rng = np.random.default_rng(10)
