@@ -126,15 +126,16 @@ class CircleBase:
     def key_degree(self, key: int) -> int:
         return key
 
-    def derivative(self, values: np.ndarray) -> np.ndarray:
-        """Spectral d/dtheta along axis 0, the grid axis; any trailing
-        axes (matrix indices) are carried along."""
+    def derivative(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Spectral d/dtheta along ``axis``, the grid axis: the first one
+        of a grid function or of a (grid, n, n) family, -3 in a stack of
+        such families.  All other axes are carried along."""
         n = self.grid_size
         freqs = 2.0j * np.pi * np.fft.fftfreq(n) * n / self.circumference
-        spec = np.fft.fft(values, axis=0)
+        spec = np.fft.fft(values, axis=axis)
         shape = [1] * values.ndim
-        shape[0] = n
-        return np.fft.ifft(spec * freqs.reshape(shape), axis=0)
+        shape[axis] = n
+        return np.fft.ifft(spec * freqs.reshape(shape), axis=axis)
 
 
 def _check_same_algebra(a, b):
@@ -266,9 +267,10 @@ class FormMatrix:
     """Square matrix with entries in a form algebra, carrying a grading.
 
     ``data`` maps keys to ``(n, n)`` complex blocks (FormalPoint) or
-    ``(grid, n, n)`` blocks (CircleBase).  ``grading`` lists the integer
-    degree of each basis index; it defines the supertrace sign and the
-    number operator.
+    ``(grid, n, n)`` blocks (CircleBase), optionally behind leading stack
+    axes (one matrix per quadrature node, say) shared by all blocks.
+    ``grading`` lists the integer degree of each basis index; it defines
+    the supertrace sign and the number operator.
     """
 
     def __init__(self, algebra, size: int, grading, data=None):
@@ -282,7 +284,7 @@ class FormMatrix:
             for key, block in data.items():
                 block = np.asarray(block, dtype=complex)
                 expected = self._block_shape()
-                if block.shape != expected:
+                if block.shape[-len(expected):] != expected:
                     raise AlgebraError(f"block shape {block.shape}, expected {expected}")
                 if algebra.key_degree(key) > algebra.max_degree:
                     continue
@@ -320,16 +322,18 @@ class FormMatrix:
     def regular(self) -> np.ndarray:
         """This matrix as left multiplication on (forms) x C^n.
 
-        An ordinary matrix of size n * (number of basis forms), with the
-        circle's grid as a leading axis.  Block (J, K) is
-        sign(I, K) S^{|K|} M_I S^{|K|} where xi_I xi_K = sign(I, K) xi_J,
-        so block column 0 lists the blocks M_I in coefficient order.
+        An ordinary matrix of size n * (number of basis forms), behind the
+        blocks' leading axes (stack axes, then the circle's grid).  Block
+        (J, K) is sign(I, K) S^{|K|} M_I S^{|K|} where xi_I xi_K =
+        sign(I, K) xi_J, so block column 0 lists the blocks M_I in
+        coefficient order.
         """
         keys, table = _basis(self.algebra)
         if len(keys) == 1:  # no form generators: the block itself
             return self.block(0)
         n, nk = self.size, len(keys)
-        lead = self._block_shape()[:-2]
+        lead = np.broadcast_shapes(self._block_shape()[:-2],
+                                   *(b.shape[:-2] for b in self.data.values()))
         out = np.zeros(lead + (nk, n, nk, n), dtype=complex)
         s = np.array([(-1.0) ** g for g in self.grading])
         for key, k, j, sign, odd in table:

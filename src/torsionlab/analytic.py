@@ -18,7 +18,7 @@ weights eigenvalue families by the reflection character.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln

@@ -19,7 +19,7 @@ map tau and orthonormal metrics has degree-zero torsion -log|det tau|.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,9 +218,10 @@ def rescale_metric(E: MetricComplex, t: float) -> MetricComplex:
 
 
 def _solved_total(E: MetricComplex, pairs, offset: int = 0) -> np.ndarray:
-    """Total matrix with a^{-1} b, for the i-th pair (a, b), in the block
-    mapping E^{i+offset} to E^i (a grid of them over a circle base)."""
-    lead = (E.base.grid_size,) if isinstance(E.base, CircleBase) else ()
+    """Total matrix with a^{-1} b, for the i-th pair (a, b), in the block mapping
+    E^{i+offset} to E^i, behind the a's leading (stack, then circle grid) axes."""
+    grid = (E.base.grid_size,) if isinstance(E.base, CircleBase) else ()
+    lead = np.broadcast_shapes(grid, *(a.shape[:-2] for a, _ in pairs))
     out = np.zeros(lead + (E.total_dim,) * 2, dtype=complex)
     sl = E.block_slices()
     for i, (a, b) in enumerate(pairs):
@@ -229,11 +230,12 @@ def _solved_total(E: MetricComplex, pairs, offset: int = 0) -> np.ndarray:
     return out
 
 
-def omega(E: MetricComplex) -> FormMatrix:
-    """The odd matrix h^{-1} (d h) of the metric, as a one-form."""
+def omega(E: MetricComplex, h=None) -> FormMatrix:
+    """The one-form h^{-1} (d h) for E's metric, or for stacked blocks ``h``."""
     alg = E.form_algebra()
     if isinstance(alg, CircleBase):
-        blk = _solved_total(E, [(hi, alg.derivative(hi)) for hi in E.h])
+        blk = _solved_total(E, [(hi, alg.derivative(hi, axis=-3))
+                                for hi in (E.h if h is None else h)])
         return FormMatrix(alg, E.total_dim, E.grading, {1: blk})
     if E.omega_data is not None:
         return E.omega_data
@@ -346,20 +348,18 @@ def torsion_form(E: MetricComplex, quad: QuadratureSpec = QuadratureSpec()) -> T
 
 
 def _metric_path(h0, h1, path: str):
-    """Return h(l), hdot(l) callables for a path of metrics between h0, h1."""
-    h0 = [np.asarray(b, dtype=complex) for b in h0]
-    h1 = [np.asarray(b, dtype=complex) for b in h1]
+    """Return a callable mapping an array ls of path parameters to the
+    metric blocks h and hdot of a path from h0 to h1, with ls's axis leading."""
     if path == "linear":
-        def h_at(l):
-            return [(1.0 - l) * a + l * b for a, b in zip(h0, h1)]
+        def at(ls):
+            pairs = list(zip(h0, h1))
+            return ([np.multiply.outer(1.0 - ls, a) + np.multiply.outer(ls, b) for a, b in pairs],
+                    [np.broadcast_to(b - a, ls.shape + a.shape) for a, b in pairs])
 
-        def hdot_at(l):
-            return [b - a for a, b in zip(h0, h1)]
-
-        return h_at, hdot_at
+        return at
     if path == "loglinear":
         # h_l = h0^{1/2} X^l h0^{1/2} with X = h0^{-1/2} h1 h0^{-1/2}
-        roots, logs = [], []
+        roots = []
         for a, b in zip(h0, h1):
             wa, va = np.linalg.eigh(a)
             sqa = (va * np.sqrt(wa)[..., None, :]) @ np.swapaxes(va.conj(), -2, -1)
@@ -367,18 +367,17 @@ def _metric_path(h0, h1, path: str):
             x = isqa @ b @ isqa
             x = 0.5 * (x + np.swapaxes(x.conj(), -2, -1))
             wx, vx = np.linalg.eigh(x)
-            roots.append((sqa, vx, wx))
-            logs.append(np.log(wx))
+            roots.append((sqa, vx, np.swapaxes(vx.conj(), -2, -1), np.log(wx)))
 
-        def at(l, derivative):
-            out = []
-            for (sqa, vx, wx), lw in zip(roots, logs):
-                w = np.exp(l * lw) * lw if derivative else np.exp(l * lw)
-                xl = (vx * w[..., None, :]) @ np.swapaxes(vx.conj(), -2, -1)
-                out.append(sqa @ xl @ sqa)
-            return out
+        def at(ls):
+            hl, hd = [], []
+            for sqa, vx, vxh, lw in roots:
+                w = np.exp(np.multiply.outer(ls, lw))
+                for out, wi in ((hl, w), (hd, w * lw)):
+                    out.append(sqa @ ((vx * wi[..., None, :]) @ vxh) @ sqa)
+            return hl, hd
 
-        return (lambda l: at(l, False)), (lambda l: at(l, True))
+        return at
     raise ValueError(f"unknown metric path {path!r}")
 
 
@@ -388,26 +387,27 @@ def tilde_f(E: MetricComplex, h0, h1, path: str = "linear",
 
     Integrates the rescaled graded trace of (1/2) h^{-1} hdot f'(omega/2)
     along a path of metrics from h0 to h1.  The degree-zero part is half
-    the alternating-with-weights log ratio of metric volumes.
+    the alternating-with-weights log ratio of metric volumes.  A panel's
+    nodes are evaluated at once, as stacks with the node axis leading: one
+    matrix-function call gives f'(omega/2), and as the factor h^{-1} hdot
+    is even, the supertrace is read from f'(omega/2) h^{-1} hdot / 2.
     """
     alg = E.form_algebra()
-    n = E.total_dim
-    h_at, hdot_at = _metric_path(h0, h1, path)
+    path_at = _metric_path(*(_as_metric_blocks(h, E.dims, E.base) for h in (h0, h1)), path)
+    signs = np.array([(-1.0) ** g for g in E.grading])
+    unit = FormElement.from_vector(alg, FormElement(alg).to_vector() + 1.0)
+    rescale = phi_rescale(unit).to_vector()  # phi_rescale: one factor per coefficient
 
-    def integrand(l):
-        hl = h_at(l)
-        hd = hdot_at(l)
-        El = E.with_metric(hl)
+    def integrand(ls):
+        hl, hd = path_at(ls)
         for blk in hl:
             if blk.shape[-1] and np.min(np.linalg.eigvalsh(blk)) <= 0:
                 raise ValueError("metric path left the positive-definite cone")
-        hinv_hd = _solved_total(E, zip(hl, hd))
-        factor = FormMatrix(alg, n, E.grading, {0: 0.5 * hinv_hd})
-        fp = matrix_function(omega(El) * 0.5, "f_prime")
-        return phi_rescale(supertrace(factor @ fp)).to_vector()
+        factor = 0.5 * _solved_total(E, list(zip(hl, hd)))
+        fp = matrix_function(0.5 * omega(E, hl).regular(), "f_prime")
+        return regular_supertrace(alg, fp[..., :E.total_dim] @ factor, signs) * rescale
 
-    value, _ = adaptive_quad(lambda ls: np.array([integrand(l) for l in ls]),
-                             0.0, 1.0, quad)
+    value, _ = adaptive_quad(integrand, 0.0, 1.0, quad)
     return FormElement.from_vector(alg, value)
 
 

@@ -20,7 +20,7 @@ map onto the invariant part of the double.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

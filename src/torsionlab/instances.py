@@ -186,7 +186,6 @@ def _twist_blocks(rng, da_seq, dc_seq, dims_a, dims_c):
         out_shape = (dims_a[q + 2], dims_c[q])
         m = np.zeros((out_shape[0] * out_shape[1], total), dtype=complex)
         ra, ca = shapes[q]
-        kron1 = np.kron(np.eye(ca), da_seq[q + 1])            # acts on vec(X_q) col-major? use row-major: vec by reshape
         # we vectorize row-major: vec(A X B) = (A kron B^T) vec(X)
         m[:, offs[q]:offs[q] + ra * ca] = np.kron(da_seq[q + 1], np.eye(ca))
         rb, cb = shapes[q + 1]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from torsionlab.algebra import (
     EXPM_CHUNK,
+    AlgebraError,
     CircleBase,
     FormalPoint,
     FormElement,
@@ -114,6 +115,22 @@ class TestWedgeMul:
             prod, ref = wedge_mul(a, b), blockwise_product(a, b)
             for key in set(prod.data) | set(ref):
                 np.testing.assert_allclose(prod.block(key), ref.get(key, 0), atol=1e-12)
+
+    def test_stacked_blocks_embed_per_slice(self):
+        # blocks with a leading stack axis embed slice by slice, and a
+        # stack of circle families differentiates along its grid axis
+        rng = np.random.default_rng(5)
+        for alg in ALGEBRAS:
+            ms = [random_form_matrix(rng, alg, 3, (0, 1, 2)) for _ in range(4)]
+            stacked = FormMatrix(alg, 3, (0, 1, 2),
+                                 {k: np.stack([m.data[k] for m in ms]) for k in ms[0].data})
+            np.testing.assert_array_equal(stacked.regular(), np.stack([m.regular() for m in ms]))
+        alg = CircleBase(8, 2.0)
+        fams = rng.standard_normal((4, 8, 3, 3))
+        np.testing.assert_allclose(alg.derivative(fams, axis=-3),
+                                   np.stack([alg.derivative(f) for f in fams]), atol=1e-14)
+        with pytest.raises(AlgebraError):
+            FormMatrix(alg, 3, (0, 1, 2), {0: np.zeros((4, 3, 3))})
 
     def test_graded_commutativity_of_elements(self):
         # homogeneous scalar elements: a b = (-1)^{|a||b|} b a

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from torsionlab.algebra import CircleBase, FormalPoint, FormMatrix, exterior_d, FormElement
+from torsionlab.algebra import (
+    CircleBase,
+    FormalPoint,
+    FormMatrix,
+    exterior_d,
+    FormElement,
+    matrix_function,
+    phi_rescale,
+    supertrace,
+)
 from torsionlab.complexes import (
     MetricComplex,
     char_form,
@@ -17,13 +26,14 @@ from torsionlab.complexes import (
 )
 from torsionlab.hodge import induced_gram, scalar_torsion_eigen
 from torsionlab.instances import (
+    random_circle_metric_family,
     random_circle_two_term,
     random_complex_instance,
     random_invertible,
     random_metric,
     random_two_term,
 )
-from torsionlab.quad import QuadratureSpec
+from torsionlab.quad import QuadratureSpec, adaptive_quad
 
 
 def two_term(tau, h0=None, h1=None, base=None):
@@ -221,7 +231,81 @@ class TestTransgression:
         np.testing.assert_allclose(lhs.coefficient(1), rhs.coefficient(1), atol=1e-7)
 
 
+def loglinear_metric(a, b, l, derivative):
+    """h0^{1/2} X^l h0^{1/2}, with X = h0^{-1/2} h1 h0^{-1/2}, or its
+    l-derivative h0^{1/2} X^l log X h0^{1/2}."""
+    wa, va = np.linalg.eigh(a)
+    vah = np.swapaxes(va.conj(), -2, -1)
+    sqa = (va * np.sqrt(wa)[..., None, :]) @ vah
+    isqa = (va * (1.0 / np.sqrt(wa))[..., None, :]) @ vah
+    x = isqa @ b @ isqa
+    wx, vx = np.linalg.eigh(0.5 * (x + np.swapaxes(x.conj(), -2, -1)))
+    w = np.exp(l * np.log(wx)) * (np.log(wx) if derivative else 1.0)
+    return sqa @ ((vx * w[..., None, :]) @ np.swapaxes(vx.conj(), -2, -1)) @ sqa
+
+
+def tilde_f_per_node(E, h0, h1, path, quad):
+    """Reference comparison class: the same quadrature, with the integrand
+    evaluated one path parameter at a time through FormMatrix products."""
+    alg, n, sl = E.form_algebra(), E.total_dim, E.block_slices()
+    h0 = [np.asarray(b, dtype=complex) for b in h0]
+    h1 = [np.asarray(b, dtype=complex) for b in h1]
+
+    def integrand(l):
+        if path == "linear":
+            hl = [(1.0 - l) * a + l * b for a, b in zip(h0, h1)]
+            hd = [b - a for a, b in zip(h0, h1)]
+        else:
+            hl = [loglinear_metric(a, b, l, False) for a, b in zip(h0, h1)]
+            hd = [loglinear_metric(a, b, l, True) for a, b in zip(h0, h1)]
+        hinv_hd = np.zeros(hl[0].shape[:-2] + (n, n), dtype=complex)
+        for i, (a, b) in enumerate(zip(hl, hd)):
+            hinv_hd[..., sl[i], sl[i]] = np.linalg.solve(a, b)
+        factor = FormMatrix(alg, n, E.grading, {0: 0.5 * hinv_hd})
+        fp = matrix_function(omega(E.with_metric(hl)) * 0.5, "f_prime")
+        return phi_rescale(supertrace(factor @ fp)).to_vector()
+
+    value, _ = adaptive_quad(lambda ls: np.array([integrand(l) for l in ls]), 0.0, 1.0, quad)
+    return value
+
+
 class TestTildeF:
+    @pytest.mark.parametrize("path", ["linear", "loglinear"])
+    def test_batched_matches_per_node_reference(self, path):
+        rng = np.random.default_rng(21)
+        E = random_complex_instance(rng, length=3, max_dim=3)
+        n = E.total_dim
+        # FormalPoint(2) with a one-form in both generators: f'(omega/2)
+        # has a degree-2 part
+        alg = FormalPoint(2)
+        w = FormMatrix(alg, n, E.grading, {k: 0.3 * (rng.standard_normal((n, n))
+                                                    + 1j * rng.standard_normal((n, n)))
+                                           for k in (0b01, 0b10)})
+        circle = random_circle_two_term(rng, grid=32, rank=2)
+        cases = [(E, [random_metric(rng, d) for d in E.dims]),
+                 (MetricComplex(E.dims, E.v, E.h, base=alg, omega_data=w),
+                  [random_metric(rng, d) for d in E.dims]),
+                 (circle, [random_circle_metric_family(rng, circle.base, 2) for _ in range(2)])]
+        # few levels, so that a mis-ordered integrand fails fast
+        quad = QuadratureSpec(max_levels=8)
+        for F, h1 in cases:
+            ref = tilde_f_per_node(F, F.h, h1, path, quad)
+            # not vacuous, including the xi_1 xi_2 coefficient
+            assert np.max(np.abs(ref)) > 1e-2
+            assert F.base is not alg or abs(ref[0b11]) > 1e-3
+            np.testing.assert_allclose(tilde_f(F, F.h, h1, path, quad).to_vector(), ref,
+                                       rtol=0, atol=1e-13)
+
+    def test_metric_path_leaving_the_cone_raises(self):
+        rng = np.random.default_rng(22)
+        E = random_complex_instance(rng, length=2, max_dim=3)
+        w, u = np.linalg.eigh(E.h[1])
+        w[0] = -0.5
+        h1 = list(E.h)
+        h1[1] = (u * w) @ u.conj().T
+        with pytest.raises(ValueError, match="metric path left the positive-definite cone"):
+            tilde_f(E, E.h, h1)
+
     def test_equal_metrics_vanish(self):
         rng = np.random.default_rng(12)
         E = random_complex_instance(rng, length=2)
