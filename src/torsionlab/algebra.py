@@ -10,24 +10,20 @@ Two base algebras are supported:
   Derivatives are spectral (FFT), so smooth data differentiates to
   machine precision.
 
-On top of either algebra we provide matrices with entries in the algebra
-(``FormMatrix``), a supertrace against an integer grading, the
-normalization operator ``phi_rescale`` and the entire functions
-``exp``, ``f(a) = a e^{a^2}`` and ``f'(a) = (1 + 2a^2) e^{a^2}`` of a
-matrix argument.
-
-All form-valued arithmetic goes through one representation, the regular
-representation: ``sum_I xi_I M_I`` acts on (forms) x C^n by left
-multiplication, xi_K x ``x`` -> sign(I, K) xi_{I u K} x S^{|K|} M_I S^{|K|} x,
-with S = diag((-1)^grading) carrying the Koszul sign.  That is an
-ordinary matrix of size n * (number of basis forms): 2n on a circle,
+A matrix with entries in either algebra, sum_I xi_I M_I, is a
+``FormMatrix``: one dense array of its blocks M_I in basis order.  Its
+arithmetic goes through the regular representation, left multiplication
+on (forms) x C^n, xi_K x ``x`` -> sign(I, K) xi_{I u K} x S^{|K|} M_I
+S^{|K|} x, with S = diag((-1)^grading) carrying the Koszul sign.  That is
+an ordinary matrix of size n * (number of basis forms): 2n on a circle,
 where A + B dtheta becomes [[A, 0], [B, S A S]] at each grid point (Van
-Loan 1978), and n 2^k on ``FormalPoint(k)``, fewer under truncation.
-Its first block column holds the blocks M_I themselves.  Products of
-form-valued matrices and of forms are products of these matrices, and
-exp, f and f' of a form-valued matrix are ordinary matrix functions.  One
-kernel evaluates the exponential of a whole stack of matrices at once by
-Pade scaling and squaring (Higham 2005).
+Loan 1978), and n 2^k on ``FormalPoint(k)``, fewer under truncation.  The
+stored array is its first block column: the matrix is one gather through
+a table made once per algebra, and a product is read back by a reshape.
+exp, f(a) = a e^{a^2} and f'(a) = (1 + 2a^2) e^{a^2} of a form-valued
+matrix are ordinary matrix functions of it; one kernel evaluates the
+exponential of a whole stack at once by Pade scaling and squaring
+(Higham 2005).
 """
 
 from __future__ import annotations
@@ -43,8 +39,6 @@ __all__ = [
     "CircleBase",
     "FormElement",
     "FormMatrix",
-    "wedge_mul",
-    "supertrace",
     "regular_supertrace",
     "phi_rescale",
     "matrix_function",
@@ -143,41 +137,39 @@ def _check_same_algebra(a, b):
         raise AlgebraError(f"algebra mismatch: {a.algebra} vs {b.algebra}")
 
 
-def _merge_masks(m1: int, m2: int):
-    """Koszul sign and union for two generator masks; None if they collide."""
-    if m1 & m2:
-        return None
-    # count inversions: pairs (i in m1, j in m2) with i > j
-    sign = 1
-    m = m1
-    while m:
-        i = m & (-m)  # lowest set bit of the remainder of m1
-        if bin(m2 & (i - 1)).count("1") % 2:
-            sign = -sign
-        m &= m - 1
-    return sign, m1 | m2
-
-
 @lru_cache(maxsize=32)
 def _basis(algebra):
-    """Basis keys in coefficient order, and the multiplication table.
-
-    Keys are generator masks; the circle's keys 0 and dtheta = 1 multiply
-    like the masks of one generator.  The table lists
-    (key_i, k, j, sign, odd) with key_i key_k = sign key_j and odd the
-    parity of key_k's degree, dropping products above the algebra's top
-    degree.
+    """Basis keys in coefficient order, and the regular representation's
+    gather table.  Keys are generator masks; the circle's keys 0 and
+    dtheta = 1 multiply like the masks of one generator.  Where xi_I xi_K =
+    sign xi_J, entry (J, K) of ``index`` is I's slot and of ``sign`` is
+    sign; where no basis form xi_I does (products above the top degree
+    vanish), the index is the padded zero slot len(keys).  ``odd`` is the
+    parity of each key's degree.
     """
     top = 2 if isinstance(algebra, CircleBase) else 1 << algebra.n_generators
     keys = tuple(m for m in range(top) if algebra.key_degree(m) <= algebra.max_degree)
-    index = {key: i for i, key in enumerate(keys)}
-    table = []
-    for k1 in keys:
+    index = np.full((len(keys),) * 2, len(keys))
+    sign = np.ones((len(keys),) * 2)
+    for i, k1 in enumerate(keys):
         for k, k2 in enumerate(keys):
-            merged = _merge_masks(k1, k2)
-            if merged is not None and merged[1] in index:
-                table.append((k1, k, index[merged[1]], merged[0], algebra.key_degree(k2) % 2))
-    return keys, tuple(table)
+            if not k1 & k2 and k1 | k2 in keys:
+                j = keys.index(k1 | k2)
+                index[j, k] = i
+                # Koszul sign: one -1 per generator of k2 below a generator of k1
+                below = [(1 << a) - 1 for a in range(k1.bit_length()) if k1 >> a & 1]
+                sign[j, k] = (-1) ** sum(bin(k2 & m).count("1") for m in below)
+    odd = np.array([algebra.key_degree(k) % 2 for k in keys], dtype=bool)
+    return keys, index, sign, odd
+
+
+@lru_cache(maxsize=64)
+def _regular_factor(algebra, grading):
+    """sign(I, K) (S x S)^{|K|} for each block (J, K) of the regular
+    representation, S = diag((-1)^grading): shape (keys, keys, n, n)."""
+    _, _, sign, odd = _basis(algebra)
+    s = np.array([(-1.0) ** g for g in grading])
+    return sign[:, :, None, None] * np.where(odd[None, :, None, None], np.outer(s, s), 1.0)
 
 
 class FormElement:
@@ -222,8 +214,8 @@ class FormElement:
     def wedge(self, other: "FormElement") -> "FormElement":
         """Product as 1 x 1 form-valued matrices of even grading."""
         _check_same_algebra(self, other)
-        prod = self._as_matrix() @ other._as_matrix()
-        return FormElement(self.algebra, {k: v[..., 0, 0] for k, v in prod.data.items()})
+        prod = (self._as_matrix() @ other._as_matrix()).coeffs[..., 0, 0]  # ([grid,] keys)
+        return FormElement.from_vector(self.algebra, prod.T.ravel())
 
     def _as_matrix(self) -> "FormMatrix":
         return FormMatrix(self.algebra, 1, (0,),
@@ -266,11 +258,13 @@ class FormElement:
 class FormMatrix:
     """Square matrix with entries in a form algebra, carrying a grading.
 
-    ``data`` maps keys to ``(n, n)`` complex blocks (FormalPoint) or
-    ``(grid, n, n)`` blocks (CircleBase), optionally behind leading stack
-    axes (one matrix per quadrature node, say) shared by all blocks.
-    ``grading`` lists the integer degree of each basis index; it defines
-    the supertrace sign and the number operator.
+    Built from a dict of ``(n, n)`` blocks (FormalPoint) or ``(grid, n, n)``
+    blocks (CircleBase) by key, behind optional leading stack axes that
+    broadcast; keys above the top degree are dropped.  Stored as one array
+    ``coeffs`` of shape ``(*stack, [grid,] keys, n, n)``, in ``_basis``
+    order with absent blocks zero.  ``grading`` lists the integer degree
+    of each basis index; it defines the supertrace sign and the number
+    operator.
     """
 
     def __init__(self, algebra, size: int, grading, data=None):
@@ -279,21 +273,16 @@ class FormMatrix:
         self.grading = tuple(int(g) for g in grading)
         if len(self.grading) != self.size:
             raise AlgebraError("grading length must equal matrix size")
-        self.data = {}
-        if data:
-            for key, block in data.items():
-                block = np.asarray(block, dtype=complex)
-                expected = self._block_shape()
-                if block.shape[-len(expected):] != expected:
-                    raise AlgebraError(f"block shape {block.shape}, expected {expected}")
-                if algebra.key_degree(key) > algebra.max_degree:
-                    continue
-                self.data[key] = block
-
-    def _block_shape(self):
-        if isinstance(self.algebra, CircleBase):
-            return (self.algebra.grid_size, self.size, self.size)
-        return (self.size, self.size)
+        grid = (algebra.grid_size,) if isinstance(algebra, CircleBase) else ()
+        expected = grid + (self.size, self.size)
+        data = {key: np.asarray(block, dtype=complex) for key, block in (data or {}).items()}
+        for block in data.values():
+            if block.shape[-len(expected):] != expected:
+                raise AlgebraError(f"block shape {block.shape}, expected {expected}")
+        # keys above the top degree are not basis keys, so they drop out here
+        blocks = [data.get(key, np.zeros(expected, dtype=complex)) for key in _basis(algebra)[0]]
+        lead = np.broadcast_shapes(*(b.shape for b in blocks))
+        self.coeffs = np.stack([np.broadcast_to(b, lead) for b in blocks], axis=-3)
 
     # ---- constructors ---------------------------------------------------
 
@@ -305,16 +294,15 @@ class FormMatrix:
     def from_plain(algebra, mat: np.ndarray, grading) -> "FormMatrix":
         """Wrap an ordinary complex matrix as the degree-0 part."""
         mat = np.asarray(mat, dtype=complex)
-        out = FormMatrix(algebra, mat.shape[-1], grading)
         if isinstance(algebra, CircleBase) and mat.ndim == 2:
-            mat = np.broadcast_to(mat, (algebra.grid_size,) + mat.shape).copy()
-        out.data[0] = mat
-        return out
+            mat = np.broadcast_to(mat, (algebra.grid_size,) + mat.shape)
+        return FormMatrix(algebra, mat.shape[-1], grading, {0: mat})
 
-    def _like(self, data) -> "FormMatrix":
-        """Same algebra, size and grading, with blocks already checked."""
+    def _like(self, coeffs) -> "FormMatrix":
+        """Same algebra, size and grading, with coefficients already laid out."""
         out = object.__new__(FormMatrix)
-        out.algebra, out.size, out.grading, out.data = self.algebra, self.size, self.grading, data
+        out.algebra, out.size, out.grading = self.algebra, self.size, self.grading
+        out.coeffs = coeffs
         return out
 
     # ---- regular representation -----------------------------------------
@@ -323,49 +311,41 @@ class FormMatrix:
         """This matrix as left multiplication on (forms) x C^n.
 
         An ordinary matrix of size n * (number of basis forms), behind the
-        blocks' leading axes (stack axes, then the circle's grid).  Block
-        (J, K) is sign(I, K) S^{|K|} M_I S^{|K|} where xi_I xi_K =
+        coefficients' leading axes (stack axes, then the circle's grid).
+        Block (J, K) is sign(I, K) S^{|K|} M_I S^{|K|} where xi_I xi_K =
         sign(I, K) xi_J, so block column 0 lists the blocks M_I in
         coefficient order.
         """
-        keys, table = _basis(self.algebra)
+        keys, index, _, _ = _basis(self.algebra)
         if len(keys) == 1:  # no form generators: the block itself
-            return self.block(0)
-        n, nk = self.size, len(keys)
-        lead = np.broadcast_shapes(self._block_shape()[:-2],
-                                   *(b.shape[:-2] for b in self.data.values()))
-        out = np.zeros(lead + (nk, n, nk, n), dtype=complex)
-        s = np.array([(-1.0) ** g for g in self.grading])
-        for key, k, j, sign, odd in table:
-            blk = self.data.get(key)
-            if blk is not None:
-                if odd:
-                    blk = blk * np.outer(s, s)
-                out[..., j, :, k, :] = blk if sign > 0 else -blk
-        return out.reshape(lead + (nk * n, nk * n))
+            return self.coeffs[..., 0, :, :]
+        n, nk, lead = self.size, len(keys), self.coeffs.shape[:-3]
+        padded = np.concatenate([self.coeffs, np.zeros(lead + (1, n, n), dtype=complex)], axis=-3)
+        blocks = padded[..., index, :, :] * _regular_factor(self.algebra, self.grading)
+        return np.swapaxes(blocks, -3, -2).reshape(lead + (nk * n, nk * n))
 
     def from_regular(self, rep: np.ndarray) -> "FormMatrix":
         """The matrix over this one's algebra, of its size and grading,
         whose regular representation (or that representation's first
         block column) is ``rep``."""
-        n = self.size
-        keys = _basis(self.algebra)[0]
-        return self._like({key: rep[..., i * n:(i + 1) * n, :n] for i, key in enumerate(keys)})
+        n, nk = self.size, len(_basis(self.algebra)[0])
+        # a copy, unless rep is that column: coeffs holds no view of a whole rep
+        col = np.ascontiguousarray(rep[..., :n])
+        return self._like(col.reshape(col.shape[:-2] + (nk, n, n)))
 
     # ---- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "FormMatrix") -> "FormMatrix":
         _check_same_algebra(self, other)
-        out = {k: v.copy() for k, v in self.data.items()}
-        for key, val in other.data.items():
-            out[key] = out[key] + val if key in out else val.copy()
-        return FormMatrix(self.algebra, self.size, self.grading, out)
+        if self.size != other.size:
+            raise AlgebraError("size mismatch in matrix sum")
+        return self._like(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "FormMatrix") -> "FormMatrix":
         return self + (other * (-1.0))
 
     def __mul__(self, c) -> "FormMatrix":
-        return self._like({k: v * c for k, v in self.data.items()})
+        return self._like(self.coeffs * c)
 
     __rmul__ = __mul__
 
@@ -375,36 +355,28 @@ class FormMatrix:
         When the right factor has odd form degree, the left factor picks
         up a Koszul sign on its parity-odd entries (the entry's
         endomorphism parity moves past the form coefficient); the regular
-        representation carries that sign.
+        representation carries that sign.  The right factor enters as its
+        first block column, which is its ``coeffs``.
         """
         _check_same_algebra(self, other)
         if self.size != other.size:
             raise AlgebraError("size mismatch in matrix product")
-        if not (self.data and other.data):
-            return self._like({})
-        return self.from_regular(self.regular() @ other.regular()[..., :other.size])
+        if not (self.coeffs.any() and other.coeffs.any()):
+            shape = np.broadcast_shapes(self.coeffs.shape, other.coeffs.shape)
+            return self._like(np.zeros(shape, dtype=complex))
+        col = other.coeffs.reshape(other.coeffs.shape[:-3] + (-1, other.size))
+        return self.from_regular(self.regular() @ col)
 
     # ---- inspection -----------------------------------------------------
 
     def block(self, key=0) -> np.ndarray:
-        if key in self.data:
-            return self.data[key]
-        return np.zeros(self._block_shape(), dtype=complex)
+        keys = _basis(self.algebra)[0]
+        if key in keys:
+            return self.coeffs[..., keys.index(key), :, :]
+        return np.zeros(self.coeffs.shape[:-3] + (self.size, self.size), dtype=complex)
 
     def norm(self) -> float:
-        return max((float(np.max(np.abs(v))) for v in self.data.values()), default=0.0)
-
-
-def wedge_mul(a: FormMatrix, b: FormMatrix) -> FormMatrix:
-    """Matrix product over the coefficient algebra."""
-    return a @ b
-
-
-def supertrace(m: FormMatrix) -> FormElement:
-    """Sum of diagonal entries weighted by (-1)^{grading}."""
-    signs = np.array([(-1.0) ** g for g in m.grading])
-    return FormElement(m.algebra, {key: np.diagonal(blk, axis1=-2, axis2=-1) @ signs
-                                   for key, blk in m.data.items()})
+        return float(np.max(np.abs(self.coeffs), initial=0.0))
 
 
 def regular_supertrace(algebra, reps: np.ndarray, weights) -> np.ndarray:
@@ -426,10 +398,12 @@ def regular_supertrace(algebra, reps: np.ndarray, weights) -> np.ndarray:
 
 def phi_rescale(obj):
     """Multiply each degree-k component by (2 i pi)^{-k/2} (fixed branch)."""
-    data = {k: v * PHI_ROOT ** (-obj.algebra.key_degree(k)) for k, v in obj.data.items()}
-    if isinstance(obj, FormMatrix):
-        return obj._like(data)
-    return FormElement(obj.algebra, data)
+    if isinstance(obj, FormMatrix):  # one broadcast by degree
+        keys = _basis(obj.algebra)[0]
+        factors = np.array([PHI_ROOT ** (-obj.algebra.key_degree(k)) for k in keys])
+        return obj._like(obj.coeffs * factors[:, None, None])
+    return FormElement(obj.algebra, {k: v * PHI_ROOT ** (-obj.algebra.key_degree(k))
+                                     for k, v in obj.data.items()})
 
 
 def _expm_pade(a: np.ndarray) -> np.ndarray:
@@ -499,7 +473,7 @@ def matrix_function(m, which: str):
         ident = FormMatrix.identity(m.algebra, m.size, m.grading)
 
         def expm(a):  # exp(0) = I
-            return a.from_regular(_expm(a.regular())) if a.data else ident
+            return a.from_regular(_expm(a.regular())) if a.coeffs.any() else ident
     else:
         m = np.asarray(m, dtype=complex)
         expm, ident = _expm, np.eye(m.shape[-1])

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from .complexes import _mat_from_json, _mat_to_json
 from .quad import QuadratureSpec, adaptive_quad
 
 __all__ = [
@@ -364,8 +365,7 @@ def euler_characteristics(g: ModelGeometry):
 def geometry_to_json(g: ModelGeometry) -> str:
     doc = {"kind": g.kind, "length": g.length, "rank": g.rank}
     if g.kind == "circle":
-        doc["holonomy"] = {"re": g.holonomy.real.tolist(),
-                           "im": g.holonomy.imag.tolist()}
+        doc["holonomy"] = _mat_to_json(g.holonomy)
     else:
         doc["bc"] = g.bc
     return json.dumps(doc, indent=2)
@@ -374,7 +374,7 @@ def geometry_to_json(g: ModelGeometry) -> str:
 def geometry_from_json(text: str) -> ModelGeometry:
     doc = json.loads(text)
     if doc["kind"] == "circle":
-        U = np.asarray(doc["holonomy"]["re"]) + 1j * np.asarray(doc["holonomy"]["im"])
-        return ModelGeometry("circle", float(doc["length"]), holonomy=U)
+        return ModelGeometry("circle", float(doc["length"]),
+                             holonomy=_mat_from_json(doc["holonomy"]))
     return ModelGeometry("interval", float(doc["length"]), bc=doc["bc"],
                          rank=int(doc["rank"]))

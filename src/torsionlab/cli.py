@@ -63,6 +63,7 @@ from .instances import (
 from .morse import (
     MorseDataError,
     arc_data,
+    comparison_torsions,
     double,
     doubled_complex,
     equivariant_scalar_torsion as morse_equivariant_torsion,
@@ -213,22 +214,13 @@ def suite_morse(rng, tolerance: float | None = None, **_) -> list:
             diff = P.minus.v[q] @ P.psi2[q] - P.psi2[q + 1] @ P.relative.v[q]
             if diff.size:
                 comm = max(comm, float(np.max(np.abs(diff))))
-        total = 0.0
-        for q, m in enumerate(P.psi1):
-            if m.shape[0] == 0:
-                continue
-            two = MetricComplex([m.shape[1], m.shape[0]], [m],
-                                [np.eye(m.shape[1]), np.eye(m.shape[0])])
-            total += ((-1.0) ** q) * scalar_torsion_eigen(two)
+        total, worst_anti = comparison_torsions(P)
         defect = max(defect, abs(total + 0.5 * LOG2 * 2 * rank))
+        anti = max(anti, worst_anti)
         for m in P.psi2:
-            if m.shape[1] == 0:
-                continue
-            iso = max(iso, float(np.max(np.abs(
-                m.conj().T @ m - np.eye(m.shape[1])))))
-            two = MetricComplex([m.shape[1], m.shape[0]], [m],
-                                [np.eye(m.shape[1]), np.eye(m.shape[0])])
-            anti = max(anti, abs(scalar_torsion_eigen(two)))
+            if m.shape[1]:
+                iso = max(iso, float(np.max(np.abs(
+                    m.conj().T @ m - np.eye(m.shape[1])))))
     checks.append(_entry("comparison_maps_commute", comm, tol))
     checks.append(_entry("anti_invariant_map_is_isometry", iso, tol))
     checks.append(_entry("boundary_defect_is_half_log2_per_generator", defect, tol))

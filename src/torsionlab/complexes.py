@@ -32,7 +32,6 @@ from .algebra import (
     matrix_function,
     phi_rescale,
     regular_supertrace,
-    supertrace,
 )
 from .quad import QuadratureSpec, adaptive_quad
 
@@ -269,9 +268,10 @@ def char_form(E: MetricComplex) -> FormElement:
     (2 i pi)^{1/2} times the rescaled supertrace of f(omega/2); real with
     only odd degrees.
     """
-    w = omega(E)
-    val = supertrace(matrix_function(w * 0.5, "f"))
-    return PHI_ROOT * phi_rescale(val)
+    alg, signs = E.form_algebra(), [(-1.0) ** g for g in E.grading]
+    f = matrix_function(omega(E) * 0.5, "f").coeffs
+    val = regular_supertrace(alg, f.reshape(f.shape[:-3] + (-1, E.total_dim)), signs)
+    return PHI_ROOT * phi_rescale(FormElement.from_vector(alg, val))
 
 
 def _chi_sums(E: MetricComplex):
@@ -347,6 +347,13 @@ def torsion_form(E: MetricComplex, quad: QuadratureSpec = QuadratureSpec()) -> T
 # ---- metric comparison --------------------------------------------------
 
 
+def _check_cone(eigenvalues):
+    """Raise unless every metric eigenvalue on the path is positive (a NaN
+    is not): the square root and logarithm below need it."""
+    if not np.all(eigenvalues > 0):
+        raise ValueError("metric path left the positive-definite cone")
+
+
 def _metric_path(h0, h1, path: str):
     """Return a callable mapping an array ls of path parameters to the
     metric blocks h and hdot of a path from h0 to h1, with ls's axis leading."""
@@ -362,11 +369,13 @@ def _metric_path(h0, h1, path: str):
         roots = []
         for a, b in zip(h0, h1):
             wa, va = np.linalg.eigh(a)
+            _check_cone(wa)
             sqa = (va * np.sqrt(wa)[..., None, :]) @ np.swapaxes(va.conj(), -2, -1)
             isqa = (va * (1.0 / np.sqrt(wa))[..., None, :]) @ np.swapaxes(va.conj(), -2, -1)
             x = isqa @ b @ isqa
             x = 0.5 * (x + np.swapaxes(x.conj(), -2, -1))
             wx, vx = np.linalg.eigh(x)
+            _check_cone(wx)
             roots.append((sqa, vx, np.swapaxes(vx.conj(), -2, -1), np.log(wx)))
 
         def at(ls):
@@ -401,8 +410,8 @@ def tilde_f(E: MetricComplex, h0, h1, path: str = "linear",
     def integrand(ls):
         hl, hd = path_at(ls)
         for blk in hl:
-            if blk.shape[-1] and np.min(np.linalg.eigvalsh(blk)) <= 0:
-                raise ValueError("metric path left the positive-definite cone")
+            if blk.shape[-1]:
+                _check_cone(np.linalg.eigvalsh(blk))
         factor = 0.5 * _solved_total(E, list(zip(hl, hd)))
         fp = matrix_function(0.5 * omega(E, hl).regular(), "f_prime")
         return regular_supertrace(alg, fp[..., :E.total_dim] @ factor, signs) * rescale

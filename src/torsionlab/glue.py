@@ -30,10 +30,11 @@ from .analytic import (
     l2_cohomology,
     scalar_torsion,
 )
-from .complexes import MetricComplex, tilde_f
+from .complexes import MetricComplex, _mat_from_json, _mat_to_json, tilde_f
 from .hodge import cohomology_class_basis, induced_gram, scalar_torsion_eigen
 from .morse import (
     arc_data,
+    comparison_torsions,
     doubled_complex,
     double,
     equivariant_scalar_torsion as morse_equivariant_torsion,
@@ -321,23 +322,8 @@ def verify_morse_side(s: GluingScenario, tolerance: float = 1e-9,
     les_vs_mv = data.torsion_les() - mv.torsion()
 
     # boundary defect of the invariant comparison map
-    P = psi_maps(arc_data(rank=s.rank))
-    defect = 0.0
-    for q, m in enumerate(P.psi1):
-        if m.shape[0] == 0:
-            continue
-        two_term = MetricComplex([m.shape[1], m.shape[0]], [m],
-                                 [np.eye(m.shape[1]), np.eye(m.shape[0])])
-        defect += ((-1.0) ** q) * scalar_torsion_eigen(two_term)
+    defect, anti = comparison_torsions(psi_maps(arc_data(rank=s.rank)))
     defect_residual = defect - (-0.5 * LOG2 * s.chi_y() * s.rank)
-
-    anti = 0.0
-    for m in P.psi2:
-        if m.shape[1] == 0:
-            continue
-        two_term = MetricComplex([m.shape[1], m.shape[0]], [m],
-                                 [np.eye(m.shape[1]), np.eye(m.shape[0])])
-        anti = max(anti, abs(scalar_torsion_eigen(two_term)))
 
     # full comparison with the analytic torsions
     z1, z2 = s.side_geometries()
@@ -412,8 +398,7 @@ def standard_sweep(tolerance: float = 1e-7):
 def scenario_to_json(s: GluingScenario) -> str:
     doc = {"kind": s.kind, "length": s.length, "split": s.split, "rank": s.rank}
     if s.kind == "circle":
-        doc["holonomy"] = {"re": s.holonomy.real.tolist(),
-                           "im": s.holonomy.imag.tolist()}
+        doc["holonomy"] = _mat_to_json(s.holonomy)
     else:
         doc["bc"] = s.bc
     return json.dumps(doc, sort_keys=True)
@@ -422,8 +407,7 @@ def scenario_to_json(s: GluingScenario) -> str:
 def scenario_from_json(text: str) -> GluingScenario:
     doc = json.loads(text)
     if doc["kind"] == "circle":
-        U = np.asarray(doc["holonomy"]["re"]) + 1j * np.asarray(doc["holonomy"]["im"])
         return GluingScenario("circle", float(doc["length"]), float(doc["split"]),
-                              holonomy=U)
+                              holonomy=_mat_from_json(doc["holonomy"]))
     return GluingScenario("interval", float(doc["length"]), float(doc["split"]),
                           rank=int(doc["rank"]), bc=doc["bc"])

@@ -21,6 +21,7 @@ from .complexes import MetricComplex, RANK_THRESHOLD
 __all__ = [
     "HodgeData",
     "hodge_decompose",
+    "orthonormal_laplacians",
     "cohomology_class_basis",
     "harmonic_representatives",
     "induced_gram",
@@ -50,17 +51,22 @@ def _cholesky_frames(E: MetricComplex):
     return frames
 
 
-def orthonormalized_differentials(E: MetricComplex):
-    """The differential in metric-orthonormal coordinates per degree."""
+def orthonormal_laplacians(E: MetricComplex):
+    """Per-degree Laplacians in metric-orthonormal coordinates, and the
+    Cholesky frames of the metrics."""
     frames = _cholesky_frames(E)
-    out = []
-    for q, vq in enumerate(E.v):
-        if min(vq.shape) == 0:
-            out.append(vq.copy())
-            continue
-        # y_{q+1} = L_{q+1}^H v (L_q^H)^{-1} y_q
-        out.append(frames[q + 1].conj().T @ vq @ np.linalg.inv(frames[q].conj().T))
-    return out, frames
+    # the differential in those coordinates: y_{q+1} = L_{q+1}^H v (L_q^H)^{-1} y_q
+    vt = [frames[q + 1].conj().T @ vq @ np.linalg.inv(frames[q].conj().T)
+          if min(vq.shape) else vq for q, vq in enumerate(E.v)]
+    laplacians = []
+    for q, d in enumerate(E.dims):
+        lap = np.zeros((d, d), dtype=complex)
+        if q < len(vt) and min(vt[q].shape) > 0:
+            lap += vt[q].conj().T @ vt[q]
+        if q > 0 and min(vt[q - 1].shape) > 0:
+            lap += vt[q - 1] @ vt[q - 1].conj().T
+        laplacians.append(lap)
+    return laplacians, frames
 
 
 @dataclass
@@ -76,15 +82,9 @@ def hodge_decompose(E: MetricComplex) -> HodgeData:
     """Eigendecompose the per-degree Laplacians and split off the kernels."""
     _require_point_base(E)
     betti = E.betti()
-    vt, frames = orthonormalized_differentials(E)
-    laplacians, eigenvalues, harmonics = [], [], []
-    for q, d in enumerate(E.dims):
-        lap = np.zeros((d, d), dtype=complex)
-        if q < len(vt) and min(vt[q].shape) > 0:
-            lap += vt[q].conj().T @ vt[q]
-        if q > 0 and min(vt[q - 1].shape) > 0:
-            lap += vt[q - 1] @ vt[q - 1].conj().T
-        laplacians.append(lap)
+    laplacians, frames = orthonormal_laplacians(E)
+    eigenvalues, harmonics = [], []
+    for q, (d, lap) in enumerate(zip(E.dims, laplacians)):
         if d == 0:
             eigenvalues.append(np.zeros(0))
             harmonics.append(np.zeros((0, 0), dtype=complex))

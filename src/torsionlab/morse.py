@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import MetricComplex
-from .hodge import orthonormalized_differentials
+from .complexes import MetricComplex, _mat_from_json, _mat_to_json
+from .hodge import orthonormal_laplacians, scalar_torsion_eigen
 from .spectral import DoubleComplexData
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "z2_split",
     "PsiMaps",
     "psi_maps",
+    "comparison_torsions",
     "equivariant_scalar_torsion",
     "three_column_double",
     "morse_to_json",
@@ -346,6 +347,21 @@ def psi_maps(M: MorseData) -> PsiMaps:
     return PsiMaps(C, plus, minus, one_abs, one_rel, psi1, psi2)
 
 
+def comparison_torsions(P: PsiMaps):
+    """Two-term torsions of the comparison maps, with identity metrics.
+
+    Returns the alternating sum over ``psi1``, the boundary defect, and
+    the largest |torsion| over ``psi2``, which vanishes for isometries.
+    """
+    def torsion(m):
+        return scalar_torsion_eigen(MetricComplex([m.shape[1], m.shape[0]], [m],
+                                                  [np.eye(m.shape[1]), np.eye(m.shape[0])]))
+
+    defect = sum(((-1.0) ** q) * torsion(m) for q, m in enumerate(P.psi1) if m.shape[0])
+    anti = max((abs(torsion(m)) for m in P.psi2 if m.shape[1]), default=0.0)
+    return defect, anti
+
+
 # ---- equivariant torsion -------------------------------------------------
 
 
@@ -359,16 +375,11 @@ def equivariant_scalar_torsion(C: Z2Complex, g: str = "reflection",
     """
     C.validate()
     E = C.complex
-    vt, frames = orthonormalized_differentials(E)
+    laplacians, frames = orthonormal_laplacians(E)
     total = 0.0
-    for q, d in enumerate(E.dims):
+    for q, (d, lap) in enumerate(zip(E.dims, laplacians)):
         if d == 0:
             continue
-        lap = np.zeros((d, d), dtype=complex)
-        if q < len(vt) and min(vt[q].shape) > 0:
-            lap += vt[q].conj().T @ vt[q]
-        if q > 0 and min(vt[q - 1].shape) > 0:
-            lap += vt[q - 1] @ vt[q - 1].conj().T
         w, u = np.linalg.eigh(lap)
         if g == "identity":
             phi_on = np.eye(d, dtype=complex)
@@ -443,8 +454,7 @@ def morse_to_json(M: MorseData) -> str:
         "points": [{"id": p.id, "index": p.index, "on_boundary": p.on_boundary,
                     "region": p.region} for p in M.points],
         "instantons": [{"from": g.src, "to": g.dst, "sign": g.sign,
-                        "transport": {"re": g.transport.real.tolist(),
-                                      "im": g.transport.imag.tolist()}}
+                        "transport": _mat_to_json(g.transport)}
                        for g in M.instantons],
     }
     if M.mirror:
@@ -457,8 +467,7 @@ def morse_from_json(text: str) -> MorseData:
     points = [CriticalPoint(p["id"], int(p["index"]), bool(p["on_boundary"]),
                             p["region"]) for p in doc["points"]]
     instantons = [Instanton(g["from"], g["to"], int(g["sign"]),
-                            np.asarray(g["transport"]["re"])
-                            + 1j * np.asarray(g["transport"]["im"]))
+                            _mat_from_json(g["transport"]))
                   for g in doc["instantons"]]
     return MorseData(int(doc["rank"]), points, instantons,
                      dict(doc.get("mirror", {}))).validate()

@@ -199,9 +199,6 @@ class SpectralPage:
         m = self.spaces.get((p, q))
         return 0 if m is None else m.shape[1]
 
-    def dims_table(self):
-        return {k: v.shape[1] for k, v in self.spaces.items() if v.shape[1]}
-
     def total_dim(self) -> int:
         return sum(v.shape[1] for v in self.spaces.values())
 

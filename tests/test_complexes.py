@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from torsionlab.algebra import (
+    _basis,
     CircleBase,
     FormalPoint,
     FormMatrix,
@@ -11,7 +12,6 @@ from torsionlab.algebra import (
     FormElement,
     matrix_function,
     phi_rescale,
-    supertrace,
 )
 from torsionlab.complexes import (
     MetricComplex,
@@ -263,7 +263,10 @@ def tilde_f_per_node(E, h0, h1, path, quad):
             hinv_hd[..., sl[i], sl[i]] = np.linalg.solve(a, b)
         factor = FormMatrix(alg, n, E.grading, {0: 0.5 * hinv_hd})
         fp = matrix_function(omega(E.with_metric(hl)) * 0.5, "f_prime")
-        return phi_rescale(supertrace(factor @ fp)).to_vector()
+        prod, signs = factor @ fp, np.array([(-1.0) ** g for g in E.grading])
+        trace = FormElement(alg, {k: np.diagonal(prod.block(k), axis1=-2, axis2=-1) @ signs
+                                  for k in _basis(alg)[0]})
+        return phi_rescale(trace).to_vector()
 
     value, _ = adaptive_quad(lambda ls: np.array([integrand(l) for l in ls]), 0.0, 1.0, quad)
     return value
@@ -303,8 +306,11 @@ class TestTildeF:
         w[0] = -0.5
         h1 = list(E.h)
         h1[1] = (u * w) @ u.conj().T
-        with pytest.raises(ValueError, match="metric path left the positive-definite cone"):
-            tilde_f(E, E.h, h1)
+        # the loglinear path takes the log of h1's eigenvalues up front;
+        # few levels, so that a NaN integrand fails fast instead of bisecting
+        for path in ("linear", "loglinear"):
+            with pytest.raises(ValueError, match="metric path left the positive-definite cone"):
+                tilde_f(E, E.h, h1, path=path, quad=QuadratureSpec(max_levels=8))
 
     def test_equal_metrics_vanish(self):
         rng = np.random.default_rng(12)
