@@ -74,14 +74,14 @@ from .morse import (
     three_column_double,
     z2_split,
 )
-from .quad import QuadratureSpec
+from .quad import QuadratureError, QuadratureSpec
 from .spectral import DoubleComplexError, page_decomposition_residual, three_column_les
 
 LOG2 = float(np.log(2.0))
 
 INVARIANT_ERRORS = (MorseDataError, GeometryError, ComplexDataError,
                     DoubleComplexError, GluingError, AlgebraError,
-                    IllConditionedError, PrecisionError)
+                    IllConditionedError, PrecisionError, QuadratureError)
 
 
 def _entry(name: str, value: float, tolerance: float, ok: bool | None = None) -> dict:
