@@ -24,6 +24,16 @@ exp, f(a) = a e^{a^2} and f'(a) = (1 + 2a^2) e^{a^2} of a form-valued
 matrix are ordinary matrix functions of it; one kernel evaluates the
 exponential of a whole stack at once by Pade scaling and squaring
 (Higham 2005).
+
+The regular representation never maps a key to one of lower degree, so
+the keys of degree above any bound span an invariant subspace, and the
+blocks of the keys up to that bound form the representation of a
+quotient algebra: a function of the kept block is the kept block of the
+function, exactly.  ``regular(even=True)`` keeps the keys of degree at
+most 2 floor(max_degree / 2).  Torsion forms are even forms, so they
+need no more: on a circle that is the n x n degree-0 block instead of
+the 2n x 2n Van Loan matrix, on ``FormalPoint(k)`` with k odd the
+top-degree keys drop out.
 """
 
 from __future__ import annotations
@@ -163,13 +173,27 @@ def _basis(algebra):
     return keys, index, sign, odd
 
 
+@lru_cache(maxsize=32)
+def _even_keys(algebra) -> np.ndarray:
+    """Basis positions of the keys of degree at most 2 floor(max_degree / 2)."""
+    keys = _basis(algebra)[0]
+    top = 2 * (algebra.max_degree // 2)
+    return np.array([i for i, k in enumerate(keys) if algebra.key_degree(k) <= top])
+
+
 @lru_cache(maxsize=64)
-def _regular_factor(algebra, grading):
-    """sign(I, K) (S x S)^{|K|} for each block (J, K) of the regular
-    representation, S = diag((-1)^grading): shape (keys, keys, n, n)."""
-    _, _, sign, odd = _basis(algebra)
+def _regular_tables(algebra, grading, even):
+    """The gather index of ``_basis`` and the factor sign(I, K) (S x S)^{|K|}
+    for each block (J, K) of the regular representation, S =
+    diag((-1)^grading), of shape (keys, keys, n, n); with ``even``, for the
+    blocks of ``_even_keys`` alone."""
+    _, index, sign, odd = _basis(algebra)
     s = np.array([(-1.0) ** g for g in grading])
-    return sign[:, :, None, None] * np.where(odd[None, :, None, None], np.outer(s, s), 1.0)
+    factor = sign[:, :, None, None] * np.where(odd[None, :, None, None], np.outer(s, s), 1.0)
+    if even:
+        kept = np.ix_(_even_keys(algebra), _even_keys(algebra))
+        return index[kept], factor[kept]
+    return index, factor
 
 
 class FormElement:
@@ -307,21 +331,23 @@ class FormMatrix:
 
     # ---- regular representation -----------------------------------------
 
-    def regular(self) -> np.ndarray:
+    def regular(self, even: bool = False) -> np.ndarray:
         """This matrix as left multiplication on (forms) x C^n.
 
         An ordinary matrix of size n * (number of basis forms), behind the
         coefficients' leading axes (stack axes, then the circle's grid).
         Block (J, K) is sign(I, K) S^{|K|} M_I S^{|K|} where xi_I xi_K =
         sign(I, K) xi_J, so block column 0 lists the blocks M_I in
-        coefficient order.
+        coefficient order.  With ``even``, only the blocks of the keys of
+        degree at most 2 floor(max_degree / 2): the representation on the
+        quotient by the forms of higher degree.
         """
-        keys, index, _, _ = _basis(self.algebra)
-        if len(keys) == 1:  # no form generators: the block itself
+        index, factor = _regular_tables(self.algebra, self.grading, even)
+        if len(index) == 1:  # key 0 alone: the block itself
             return self.coeffs[..., 0, :, :]
-        n, nk, lead = self.size, len(keys), self.coeffs.shape[:-3]
+        n, nk, lead = self.size, len(index), self.coeffs.shape[:-3]
         padded = np.concatenate([self.coeffs, np.zeros(lead + (1, n, n), dtype=complex)], axis=-3)
-        blocks = padded[..., index, :, :] * _regular_factor(self.algebra, self.grading)
+        blocks = padded[..., index, :, :] * factor
         return np.swapaxes(blocks, -3, -2).reshape(lead + (nk * n, nk * n))
 
     def from_regular(self, rep: np.ndarray) -> "FormMatrix":
@@ -378,10 +404,21 @@ class FormMatrix:
     def norm(self) -> float:
         return float(np.max(np.abs(self.coeffs), initial=0.0))
 
+    def is_odd(self) -> bool:
+        """Whether the matrix is odd in total parity (form degree plus
+        grading): no block M_I has a nonzero entry (i, j) with
+        |I| + g_i + g_j even.  An exact-zero test."""
+        g = np.array(self.grading) % 2
+        odd = _basis(self.algebra)[3]
+        even_entry = (odd[:, None, None] ^ g[:, None] ^ g[None, :]) == 0
+        return not self.coeffs[..., even_entry].any()
+
 
 def regular_supertrace(algebra, reps: np.ndarray, weights) -> np.ndarray:
     """Weighted traces sum_i weights_i (M_I)_ii of every block M_I, for a
-    stack of regular representations of shape (..., [grid,] N, N).
+    stack of regular representations of shape (..., [grid,] N, N), or of
+    their even parts (``regular(even=True)``), whose dropped keys get
+    zero coefficients.
 
     Returns shape (..., number of coefficients), each row in
     ``FormElement.to_vector`` order.
@@ -389,7 +426,11 @@ def regular_supertrace(algebra, reps: np.ndarray, weights) -> np.ndarray:
     weights = np.asarray(weights)
     n, nk = len(weights), len(_basis(algebra)[0])
     col = reps[..., :n]
-    traces = np.diagonal(col.reshape(col.shape[:-2] + (nk, n, n)), axis1=-2, axis2=-1) @ weights
+    traces = np.diagonal(col.reshape(col.shape[:-2] + (-1, n, n)), axis1=-2, axis2=-1) @ weights
+    if traces.shape[-1] < nk:
+        full = np.zeros(traces.shape[:-1] + (nk,), dtype=traces.dtype)
+        full[..., _even_keys(algebra)] = traces
+        traces = full
     if isinstance(algebra, CircleBase):  # (..., grid, keys) -> (..., keys * grid)
         traces = np.swapaxes(traces, -1, -2)
         return traces.reshape(traces.shape[:-2] + (-1,))

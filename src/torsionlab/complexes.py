@@ -50,10 +50,19 @@ __all__ = [
 ]
 
 RANK_THRESHOLD = 1e-10
+# Largest accepted magnitude of a differential or metric entry: products
+# of two entries, times the t of the quadrature (up to 2^80), stay far
+# below the float maximum 1.8e308.
+MAX_ENTRY = 1e100
 
 
 class ComplexDataError(ValueError):
     """Invalid metric-complex data (v^2 != 0, bad metric, shape mismatch)."""
+
+
+class NonFiniteDataError(ComplexDataError):
+    """A NaN, infinite or overflowing (above ``MAX_ENTRY``) entry: malformed
+    input, where other ``ComplexDataError``s are violated invariants."""
 
 
 def _as_metric_blocks(h, dims, base):
@@ -137,6 +146,10 @@ class MetricComplex:
         return out
 
     def validate(self):
+        for name, blocks in (("differential", self.v), ("metric", self.h)):
+            for i, blk in enumerate(blocks):
+                if not np.all(np.abs(blk) <= MAX_ENTRY):  # a NaN fails too
+                    raise NonFiniteDataError(f"{name} {i} has a non-finite or overflowing entry")
         scale = max([np.linalg.norm(vi) for vi in self.v], default=0.0)
         for i in range(len(self.v) - 1):
             resid = np.linalg.norm(self.v[i + 1] @ self.v[i])
@@ -196,14 +209,6 @@ class TorsionFormResult:
     d_E: int
     d_H: int
     betti: tuple
-
-    def max_odd_degree(self) -> float:
-        alg = self.element.algebra
-        bad = 0.0
-        for key, val in self.element.data.items():
-            if alg.key_degree(key) % 2 == 1:
-                bad = max(bad, float(np.max(np.abs(val))))
-        return bad
 
 
 # ---- basic constructions ------------------------------------------------
@@ -282,12 +287,53 @@ def _chi_sums(E: MetricComplex):
     return d_E, d_H, b
 
 
+def _number_supertrace(E: MetricComplex):
+    """The map from an array ts of times to the rows of coefficients
+    (``FormElement.to_vector`` order) of the supertrace of (N/2) f'(X_t),
+    phi-rescaled, one row per t.
+
+    Only the even part is evaluated: f' of the even part of X_t's
+    regular representation, which is exact (see ``algebra``).  X_t is
+    odd in total parity, so f'(X_t) is even, and every entry of it that
+    joins indices of opposite parity, the diagonals of odd blocks among
+    them, is a sum of products with an exact-zero factor.  The odd
+    coefficients therefore come out as exact zeros, dropped keys and kept
+    ones alike.
+    """
+    alg = E.form_algebra()
+    # Everything below except f'(X_t) itself is independent of t.
+    # phi_rescale multiplies degree k by c^k, an automorphism of the
+    # algebra, so it commutes with f'.  X_t is affine in t, and so is its
+    # regular representation: rep0 + t rep1.
+    w, vmat, vstar = omega(E), E.v_total(), _v_adjoint(E)
+    x0 = _x_t(w, vmat, vstar, 0.0)
+    if not x0.is_odd():
+        raise ComplexDataError("omega is not odd in total parity, so it is not "
+                               "h^{-1} dh of a graded metric")
+    rep0 = phi_rescale(x0).regular(even=True)
+    rep1 = FormMatrix.from_plain(alg, 0.5 * vstar, E.grading).regular(even=True)
+    node_axis = (-1,) + (1,) * rep0.ndim
+    # supertrace against N/2: sum_i (-1)^{g_i} (g_i/2) M_ii
+    weights = np.array([((-1.0) ** g) * 0.5 * g for g in E.grading])
+
+    def supertrace(ts):
+        fp = matrix_function(rep0 + ts.reshape(node_axis) * rep1, "f_prime")
+        return regular_supertrace(alg, fp, weights)
+
+    return supertrace
+
+
 def torsion_form(E: MetricComplex, quad: QuadratureSpec = QuadratureSpec()) -> TorsionFormResult:
     """Torsion form of the complex: minus the t-integral of the
     counterterm-corrected number-weighted supertrace of f'(X_t).
 
     The integral is split at t = 1 with substitutions u = sqrt(t) and
-    u = 1/sqrt(t), which make both halves smooth.
+    u = 1/sqrt(t), which make both halves smooth.  The torsion form is
+    even: its odd coefficients are exact zeros, and f'(X_t) is evaluated
+    on the even part of the form algebra alone (``_number_supertrace``).
+    That needs X_t odd in total parity, true for omega = h^{-1} dh of a
+    graded metric; an ``omega_data`` that is not odd raises
+    ``ComplexDataError``.
     """
     d_E, d_H, betti = _chi_sums(E)
     alg = E.form_algebra()
@@ -295,23 +341,13 @@ def torsion_form(E: MetricComplex, quad: QuadratureSpec = QuadratureSpec()) -> T
         zero = FormElement(alg)
         return TorsionFormResult(zero, 0.0, 0.0, d_E, d_H, betti)
 
-    # Everything below except f'(X_t) itself is independent of t.
-    # phi_rescale multiplies degree k by c^k, an automorphism of the
-    # algebra, so it commutes with f'.  X_t is affine in t, and so is its
-    # regular representation: rep0 + t rep1.
-    w, vmat, vstar = omega(E), E.v_total(), _v_adjoint(E)
-    rep0 = phi_rescale(_x_t(w, vmat, vstar, 0.0)).regular()
-    rep1 = FormMatrix.from_plain(alg, 0.5 * vstar, E.grading).regular()
-    node_axis = (-1,) + (1,) * rep0.ndim
-    # supertrace against N/2: sum_i (-1)^{g_i} (g_i/2) M_ii
-    weights = np.array([((-1.0) ** g) * 0.5 * g for g in E.grading])
+    supertrace = _number_supertrace(E)
     # the degree-0 coefficient: one value, or one per grid point
     degree0 = slice(0, alg.grid_size if isinstance(alg, CircleBase) else 1)
 
     def integrand(ts):
         """Rows of the form coefficients (FormElement.to_vector order) per t."""
-        fp = matrix_function(rep0 + ts.reshape(node_axis) * rep1, "f_prime")
-        out = regular_supertrace(alg, fp, weights)
+        out = supertrace(ts)
         # counterterms: d_H/2 at t = infinity, (d_E - d_H)/2 f'(i sqrt(t)/2) at t = 0
         out[:, degree0] -= (0.5 * d_H + 0.5 * (d_E - d_H) * (1.0 - 0.5 * ts)
                             * np.exp(-0.25 * ts))[:, None]

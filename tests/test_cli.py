@@ -5,10 +5,20 @@ import json
 import numpy as np
 import pytest
 
+from torsionlab import cli
 from torsionlab.analytic import ModelGeometry, geometry_to_json
 from torsionlab.cli import format_report, main, run_torsion, run_verify
 from torsionlab.complexes import MetricComplex, complex_to_json
-from torsionlab.morse import arc_data, double, morse_to_json, split_circle_data
+from torsionlab.instances import random_invertible
+from torsionlab.morse import (
+    arc_data,
+    double,
+    morse_to_json,
+    split_circle_data,
+    thom_smale,
+    three_column_double,
+)
+from torsionlab.spectral import total_complex
 
 LOG2 = float(np.log(2.0))
 
@@ -57,6 +67,18 @@ class TestTorsionCommand:
         assert main(["torsion", str(tmp_path / "missing.json"),
                      "--kind", "complex"]) == 2
 
+    @pytest.mark.parametrize("bad", ["nan_metric", "huge_differential"])
+    def test_non_finite_complex_exits_2(self, tmp_path, bad):
+        h = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
+        v = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex)
+        if bad == "nan_metric":
+            h[1] = h[1].copy()
+            h[1][0, 1] = np.nan
+        else:
+            v[0, 0] = 1e200
+        path = write(tmp_path, f"{bad}.json", complex_to_json(MetricComplex([2, 2], [v], h)))
+        assert main(["torsion", path, "--kind", "complex"]) == 2
+
     def test_invariant_violation_exits_3(self, tmp_path):
         doc = {"kind": "circle", "length": 1.0, "rank": 1,
                "holonomy": {"re": [[2.0]], "im": [[0.0]]}}
@@ -69,6 +91,30 @@ class TestVerifyCommand:
         for suite in ("spectral", "morse", "analytic", "gluing"):
             report = run_verify(suite, seed=3)
             assert report["verdict"] == "pass", report
+
+    def test_morse_differential_check_measures_d_squared(self, monkeypatch):
+        # the suite's first draws, replayed: ten split circles, each read as
+        # its Thom-Smale complex and the total complex of its three columns
+        report = run_verify("morse", seed=5)
+        entry = next(c for c in report["checks"]
+                     if c["name"] == "differential_squares_to_zero")
+        rng, worst, compositions = np.random.default_rng(5), 0.0, 0
+        for _i in range(10):
+            M = split_circle_data(random_invertible(rng, int(rng.integers(1, 4))))
+            for E in (thom_smale(M), total_complex(three_column_double(M))):
+                square, sl = E.v_total() @ E.v_total(), E.block_slices()
+                for q in range(len(sl) - 2):
+                    compositions += 1
+                    worst = max(worst, np.linalg.norm(square[sl[q + 2], sl[q]]))
+        assert compositions >= 10
+        assert entry["value"] == pytest.approx(worst, abs=1e-15)
+        assert entry["tolerance"] == 1e-12 and entry["verdict"] == "pass"
+        # a total complex whose d^2 is 1 fails the check
+        monkeypatch.setattr(cli, "total_complex", lambda D: MetricComplex(
+            [1, 1, 1], [np.ones((1, 1))] * 2, [np.eye(1)] * 3))
+        entry = next(c for c in run_verify("morse", seed=5)["checks"]
+                     if c["name"] == "differential_squares_to_zero")
+        assert entry["value"] == 1.0 and entry["verdict"] == "fail"
 
     def test_exit_code_zero_on_pass(self, capsys):
         assert main(["verify", "morse", "--seed", "1"]) == 0

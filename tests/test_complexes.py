@@ -1,8 +1,11 @@
 """Tests for metric complexes, characteristic forms and torsion forms."""
 
+import time
+
 import numpy as np
 import pytest
 
+from torsionlab import algebra
 from torsionlab.algebra import (
     _basis,
     CircleBase,
@@ -12,9 +15,12 @@ from torsionlab.algebra import (
     FormElement,
     matrix_function,
     phi_rescale,
+    regular_supertrace,
 )
 from torsionlab.complexes import (
+    ComplexDataError,
     MetricComplex,
+    _number_supertrace,
     char_form,
     complex_from_json,
     complex_to_json,
@@ -199,8 +205,8 @@ class TestTorsionForm:
         assert t1 == pytest.approx(-t0, abs=1e-9)
 
     def test_degree0_batch_matches_form_valued_path(self):
-        # Over FormalPoint(1), with a zero omega_data one-form, X_t is
-        # embedded as a 2n x 2n matrix instead of the point base's n x n.
+        # Over FormalPoint(1), with a zero omega_data one-form, X_t goes
+        # through the FormMatrix path and its even truncation to key 0.
         rng = np.random.default_rng(12)
         E = random_complex_instance(rng, length=2, max_dim=3)
         alg = FormalPoint(1)
@@ -217,7 +223,79 @@ class TestTorsionForm:
         E = random_circle_two_term(rng, grid=32, rank=1)
         res = torsion_form(E)
         assert res.element.max_imag() < 1e-10
-        assert res.max_odd_degree() < 1e-10
+        assert not res.element.coefficient(1).any()
+
+    @pytest.mark.parametrize("case", ["circle_r1", "circle_r2", "point_1", "point_3", "point_4t3"])
+    def test_full_representation_integrand_is_even(self, case):
+        # f'(X_t) over the whole regular representation, X_t built afresh
+        # at each t: its odd coefficients vanish exactly, and its even ones
+        # are those of the truncated integrand
+        E = graded_one_form_complex(case)
+        alg, ts = E.form_algebra(), np.array([0.05, 0.5, 1.0, 30.0, 400.0])
+        weights = [((-1.0) ** g) * 0.5 * g for g in E.grading]
+        reps = np.stack([phi_rescale(x_t(E, t)).regular() for t in ts])
+        full = regular_supertrace(alg, matrix_function(reps, "f_prime"), weights)
+        odd = np.repeat(_basis(alg)[3], alg.grid_size if isinstance(alg, CircleBase) else 1)
+        assert np.abs(full[:, ~odd]).max() > 1e-3  # not vacuous
+        if case in ("point_3", "point_4t3"):  # parts of degree 2
+            assert np.abs(full[:, ~odd][:, 1:]).max() > 1e-3
+        assert not full[:, odd].any()
+        truncated = _number_supertrace(E)(ts)
+        assert not truncated[:, odd].any()
+        np.testing.assert_allclose(truncated[:, ~odd], full[:, ~odd], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("case", ["circle_r2_g64", "point_1"])
+    def test_fiber_exponentials_are_total_dim(self, case, monkeypatch):
+        E = graded_one_form_complex(case)
+        shapes = []
+        expm = algebra._expm
+
+        def recording(a):
+            shapes.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(algebra, "_expm", recording)
+        torsion_form(E)
+        assert shapes
+        assert {s[-2:] for s in shapes} == {(E.total_dim, E.total_dim)}
+
+    def test_omega_data_that_is_not_odd_is_rejected_at_once(self):
+        # full one-form blocks also join degrees of equal parity: not the
+        # h^{-1} dh of any graded metric, and the t > 1 integrand would not
+        # decay
+        rng = np.random.default_rng(21)
+        E = random_complex_instance(rng, length=3, max_dim=3)
+        n, alg = E.total_dim, FormalPoint(2)
+        w = FormMatrix(alg, n, E.grading, {k: 0.3 * (rng.standard_normal((n, n))
+                                                    + 1j * rng.standard_normal((n, n)))
+                                           for k in (0b01, 0b10)})
+        F = MetricComplex(E.dims, E.v, E.h, base=alg, omega_data=w)
+        start = time.monotonic()
+        with pytest.raises(ComplexDataError, match="not odd"):
+            torsion_form(F)
+        assert time.monotonic() - start < 1.0
+
+
+def graded_one_form_complex(case):
+    """A complex whose omega is odd: a circle family, or a point base with a
+    random one-form omega_data that preserves the grading.  On
+    FormalPoint(4, 3) the kept keys of degree <= 2 are not a prefix of
+    the basis."""
+    rng = np.random.default_rng(31)
+    if case.startswith("circle"):
+        grid = 64 if case.endswith("g64") else 32
+        return random_circle_two_term(rng, grid=grid, rank=int(case[8]))
+    E = random_complex_instance(rng, length=3, max_dim=3)
+    alg = FormalPoint(4, 3) if case == "point_4t3" else FormalPoint(int(case[-1]))
+    sl = E.block_slices()
+    blocks = {}
+    for a in range(alg.n_generators):
+        blk = np.zeros((E.total_dim,) * 2, dtype=complex)
+        for s, d in zip(sl, E.dims):
+            blk[s, s] = 0.4 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        blocks[1 << a] = blk
+    w = FormMatrix(alg, E.total_dim, E.grading, blocks)
+    return MetricComplex(E.dims, E.v, E.h, base=alg, omega_data=w)
 
 
 class TestTransgression:
