@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .complexes import _mat_from_json, _mat_to_json
+from .complexes import _mat_from_json, _mat_to_json, check_finite
 from .quad import QuadratureSpec, adaptive_quad
 
 __all__ = [
@@ -70,12 +70,14 @@ class ModelGeometry:
     rank: int = 1
 
     def __post_init__(self):
+        check_finite("length", self.length)
         if self.length <= 0:
             raise GeometryError("length must be positive")
         if self.kind == "circle":
             if self.holonomy is None:
                 self.holonomy = np.eye(self.rank, dtype=complex)
             self.holonomy = np.asarray(self.holonomy, dtype=complex)
+            check_finite("holonomy", self.holonomy)
             n = self.holonomy.shape[0]
             if self.holonomy.shape != (n, n):
                 raise GeometryError("holonomy must be square")
@@ -273,8 +275,9 @@ def torsion_via_heat_integral(g: ModelGeometry,
         heat = heat_supertrace(s, ts)
         return -(heat - counter) / ts
 
-    lower, err = adaptive_quad(integrand, 1e-8, 1.0, quad)
-    # the omitted (0, 1e-8) piece is O(t) * width, far below tolerance
+    # the integrand tends to a nonzero constant as t -> 0; the Kronrod
+    # nodes are interior, so t = 0 itself is never evaluated
+    lower, err = adaptive_quad(integrand, 0.0, 1.0, quad)
     total = lower
     hi = 1.0
     cut = 0.1 * quad.tolerance

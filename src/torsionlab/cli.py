@@ -377,7 +377,6 @@ def run_torsion(path: str, kind: str) -> dict:
     values: dict = {}
     if kind == "complex":
         E = complex_from_json(text)
-        E.validate()
         val = np.asarray(torsion_form(E).degree0)
         if val.ndim == 0:
             values["torsion_degree0"] = float(val.real)
@@ -389,7 +388,6 @@ def run_torsion(path: str, kind: str) -> dict:
         values["torsion_degree0"] = float(scalar_torsion_eigen(E))
     elif kind == "double":
         C = doubled_complex(morse_from_json(text))
-        C.validate()
         values["torsion_degree0"] = float(scalar_torsion_eigen(C.complex))
         for element in ("identity", "reflection"):
             values[f"equivariant_{element}"] = float(

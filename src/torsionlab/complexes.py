@@ -47,9 +47,10 @@ __all__ = [
     "complex_to_json",
     "complex_from_json",
     "RANK_THRESHOLD",
+    "numerical_rank",
+    "rank_split",
 ]
 
-RANK_THRESHOLD = 1e-10
 # Largest accepted magnitude of a differential or metric entry: products
 # of two entries, times the t of the quadrature (up to 2^80), stay far
 # below the float maximum 1.8e308.
@@ -63,6 +64,43 @@ class ComplexDataError(ValueError):
 class NonFiniteDataError(ComplexDataError):
     """A NaN, infinite or overflowing (above ``MAX_ENTRY``) entry: malformed
     input, where other ``ComplexDataError``s are violated invariants."""
+
+
+def check_finite(name: str, values) -> None:
+    """Raise ``NonFiniteDataError`` unless every entry is at most ``MAX_ENTRY``
+    in magnitude (a NaN fails too)."""
+    if not (np.abs(values) <= MAX_ENTRY).all():
+        raise NonFiniteDataError(f"{name} has a non-finite or overflowing entry")
+
+
+# ---- the numerical-rank policy ---------------------------------------------
+#
+# Every rank and zero-mode decision on a finite complex is made here: a
+# singular value counts when it exceeds RANK_THRESHOLD * max(scale, 1), with
+# scale the largest singular value unless the caller fixes one.  (The model
+# spectra in ``analytic`` still cut holonomy eigenvalues on their own.)
+
+RANK_THRESHOLD = 1e-10
+
+
+def numerical_rank(s, scale=None) -> int:
+    """Number of values in ``s`` (sorted decreasing) above the rank cut."""
+    if scale is None:
+        scale = s[0] if len(s) else 0.0
+    return int(np.count_nonzero(s > RANK_THRESHOLD * max(scale, 1.0)))
+
+
+def rank_split(m: np.ndarray, scale=None):
+    """Orthonormal bases of the column space and of the null space of m,
+    split at its numerical rank."""
+    rows, cols = m.shape
+    if rows == 0 or cols == 0:
+        return np.zeros((rows, 0), dtype=complex), np.eye(cols, dtype=complex)
+    # only a wide m needs the full vh for its null space; the reduced
+    # factors of a tall or square m are the same numbers, and cheaper
+    u, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
+    rank = numerical_rank(s, scale)
+    return u[:, :rank], vh[rank:].conj().T
 
 
 def _as_metric_blocks(h, dims, base):
@@ -148,8 +186,7 @@ class MetricComplex:
     def validate(self):
         for name, blocks in (("differential", self.v), ("metric", self.h)):
             for i, blk in enumerate(blocks):
-                if not np.all(np.abs(blk) <= MAX_ENTRY):  # a NaN fails too
-                    raise NonFiniteDataError(f"{name} {i} has a non-finite or overflowing entry")
+                check_finite(f"{name} {i}", blk)
         scale = max([np.linalg.norm(vi) for vi in self.v], default=0.0)
         for i in range(len(self.v) - 1):
             resid = np.linalg.norm(self.v[i + 1] @ self.v[i])
@@ -169,13 +206,8 @@ class MetricComplex:
 
     def betti(self):
         """Cohomology dimensions, from the ranks of v (metric-independent)."""
-        ranks = []
-        for vi in self.v:
-            if min(vi.shape) == 0:
-                ranks.append(0)
-                continue
-            s = np.linalg.svd(vi, compute_uv=False)
-            ranks.append(int(np.sum(s > RANK_THRESHOLD * max(s[0], 1.0))))
+        ranks = [numerical_rank(np.linalg.svd(vi, compute_uv=False)) if vi.size else 0
+                 for vi in self.v]
         out = []
         for i, d in enumerate(self.dims):
             r_out = ranks[i] if i < len(ranks) else 0

@@ -30,7 +30,7 @@ from .analytic import (
     l2_cohomology,
     scalar_torsion,
 )
-from .complexes import MetricComplex, _mat_from_json, _mat_to_json, tilde_f
+from .complexes import MetricComplex, _mat_from_json, _mat_to_json, rank_split, tilde_f
 from .hodge import cohomology_class_basis, induced_gram, scalar_torsion_eigen
 from .morse import (
     arc_data,
@@ -220,14 +220,6 @@ def verify_gluing_degree0(s: GluingScenario, tolerance: float = 1e-7) -> dict:
 # ---- combinatorial (critical-point) side ---------------------------------
 
 
-def _invariant_basis(m: np.ndarray):
-    """Orthonormal basis of the fixed space ker(m - I)."""
-    n = m.shape[0]
-    u, sv, vh = np.linalg.svd(m - np.eye(n))
-    rank = int(np.sum(sv > 1e-10 * max(sv[0] if len(sv) else 0.0, 1.0)))
-    return vh[rank:].conj().T
-
-
 def _morse_l2_grams(s: GluingScenario, D, class_reps):
     """L2 Gram matrices on the column cohomologies of the three-column
     critical-point complex, in the given class-representative bases.
@@ -238,8 +230,8 @@ def _morse_l2_grams(s: GluingScenario, D, class_reps):
     """
     r = s.rank
     big_l, l1, l2 = s.length, s.l1, s.l2
-    # the cochain complex sees the transposed holonomy
-    fixed = _invariant_basis(s.holonomy.T)
+    # the cochain complex sees the transposed holonomy: its fixed space
+    fixed = rank_split(s.holonomy.T - np.eye(r))[1]
     k = fixed.shape[1]
     full = D.column_complex(1)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CircleBase
-from .complexes import MetricComplex, RANK_THRESHOLD
+from .complexes import MetricComplex, _chi_sums, numerical_rank, rank_split
 
 __all__ = [
     "HodgeData",
@@ -92,8 +92,9 @@ def hodge_decompose(E: MetricComplex) -> HodgeData:
         w, u = np.linalg.eigh(lap)
         w = np.clip(w, 0.0, None)
         eigenvalues.append(w)
-        tol = RANK_THRESHOLD * max(w[-1] if len(w) else 0.0, 1.0)
-        kernel_dim = int(np.sum(w < tol))
+        # w are eigenvalues of the Laplacian, i.e. squared singular values
+        # of the differentials, cut here as if they were singular values
+        kernel_dim = d - numerical_rank(w[::-1])
         if kernel_dim != betti[q]:
             gap = (w[kernel_dim - 1] if kernel_dim else 0.0,
                    w[kernel_dim] if kernel_dim < len(w) else np.inf)
@@ -105,22 +106,6 @@ def hodge_decompose(E: MetricComplex) -> HodgeData:
             np.zeros((d, 0), dtype=complex)
         harmonics.append(basis)
     return HodgeData(laplacians, eigenvalues, betti, harmonics, frames)
-
-
-def _null_space(m: np.ndarray, scale: float):
-    if min(m.shape) == 0:
-        return np.eye(m.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > RANK_THRESHOLD * max(scale, 1.0)))
-    return vh[rank:].conj().T
-
-
-def _column_space(m: np.ndarray, scale: float):
-    if min(m.shape) == 0:
-        return np.zeros((m.shape[0], 0), dtype=complex)
-    u, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > RANK_THRESHOLD * max(scale, 1.0)))
-    return u[:, :rank]
 
 
 def cohomology_class_basis(E: MetricComplex):
@@ -136,11 +121,11 @@ def cohomology_class_basis(E: MetricComplex):
             out.append(np.zeros((0, 0), dtype=complex))
             continue
         vq = E.v[q] if q < len(E.v) else np.zeros((0, d), dtype=complex)
-        kernel = _null_space(vq, scale)
-        image = _column_space(E.v[q - 1], scale) if q > 0 else np.zeros((d, 0), dtype=complex)
+        kernel = rank_split(vq, scale)[1]
+        image = rank_split(E.v[q - 1], scale)[0] if q > 0 else np.zeros((d, 0), dtype=complex)
         # part of the kernel transverse to the image
         proj = kernel - image @ (image.conj().T @ kernel)
-        out.append(_column_space(proj, 1.0))
+        out.append(rank_split(proj, 1.0)[0])
     return out
 
 
@@ -158,7 +143,7 @@ def harmonic_representatives(E: MetricComplex, class_basis=None):
             continue
         # work with the thresholded image so that a numerically negligible
         # differential cannot leak spurious directions into the projection
-        lift = _column_space(E.v[q - 1], scale)
+        lift = rank_split(E.v[q - 1], scale)[0]
         if lift.shape[1] == 0:
             out.append(z.copy())
             continue
@@ -178,10 +163,8 @@ def scalar_torsion_eigen(E: MetricComplex) -> float:
     data = hodge_decompose(E)
     total = 0.0
     for q, w in enumerate(data.eigenvalues):
-        if len(w) == 0:
-            continue
-        tol = RANK_THRESHOLD * max(w[-1], 1.0)
-        nonzero = w[w >= tol]
+        # hodge_decompose has checked that the first betti[q] are the kernel
+        nonzero = w[data.betti[q]:]
         g = E.grading_offset + q
         if len(nonzero):
             total += 0.5 * ((-1.0) ** g) * g * float(np.sum(np.log(nonzero)))
@@ -189,10 +172,8 @@ def scalar_torsion_eigen(E: MetricComplex) -> float:
 
 
 def chi_primes(E: MetricComplex):
-    """Alternating sums over ranks: (chi, chi', d(E), d(H(E)))."""
-    betti = E.betti()
-    gs = [E.grading_offset + i for i in range(len(E.dims))]
-    chi = sum(((-1) ** g) * b for g, b in zip(gs, betti))
-    chi_prime = sum(((-1) ** g) * g * b for g, b in zip(gs, betti))
-    d_E = sum(((-1) ** g) * g * d for g, d in zip(gs, E.dims))
-    return chi, chi_prime, d_E, chi_prime
+    """Alternating sums over ranks: (chi, chi', d(E), d(H(E))), where
+    chi' = d(H(E))."""
+    d_E, d_H, betti = _chi_sums(E)
+    chi = sum(((-1) ** (E.grading_offset + i)) * b for i, b in enumerate(betti))
+    return chi, d_H, d_E, d_H

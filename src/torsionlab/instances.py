@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import CircleBase
-from .complexes import MetricComplex
+from .complexes import MetricComplex, rank_split
 from .spectral import DoubleComplexData
 
 __all__ = [
@@ -192,10 +192,7 @@ def _twist_blocks(rng, da_seq, dc_seq, dims_a, dims_c):
         m[:, offs[q + 1]:offs[q + 1] + rb * cb] = np.kron(np.eye(rb), dc_seq[q].T)
         rows.append(m)
     if rows:
-        sys = np.concatenate(rows, axis=0)
-        _, s, vh = np.linalg.svd(sys)
-        rank = int(np.sum(s > 1e-10 * max(s[0] if len(s) else 0.0, 1.0)))
-        null = vh[rank:].conj().T
+        null = rank_split(np.concatenate(rows, axis=0))[1]
     else:
         null = np.eye(total, dtype=complex)
     if null.shape[1] == 0:

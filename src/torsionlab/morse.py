@@ -28,7 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import MetricComplex, _mat_from_json, _mat_to_json
+from .complexes import (
+    MetricComplex,
+    _mat_from_json,
+    _mat_to_json,
+    check_finite,
+    numerical_rank,
+    rank_split,
+)
 from .hodge import orthonormal_laplacians, scalar_torsion_eigen
 from .spectral import DoubleComplexData
 
@@ -55,6 +62,8 @@ __all__ = [
 ]
 
 _REGIONS = ("Z1", "Z2", "Y")
+# relative gap below which Laplacian eigenvalues form one eigenspace
+_CLUSTER_TOL = 1e-8
 
 
 class MorseDataError(ValueError):
@@ -114,6 +123,7 @@ class MorseData:
             if g.transport.shape != (self.rank, self.rank):
                 raise MorseDataError(
                     f"instanton {g.src!r}->{g.dst!r}: transport must be rank x rank")
+            check_finite(f"instanton {g.src!r}->{g.dst!r}: transport", g.transport)
             if {s.region, d.region} == {"Z1", "Z2"}:
                 raise MorseDataError(
                     f"instanton {g.src!r}->{g.dst!r} crosses the separating set")
@@ -261,24 +271,15 @@ def doubled_complex(M: MorseData, variant: str = "full") -> Z2Complex:
     return Z2Complex(E, invol).validate()
 
 
-def _eigenspace_basis(phi: np.ndarray, sign: int):
-    """Orthonormal basis of the +-1 eigenspace of a unitary involution."""
-    n = phi.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    proj = 0.5 * (np.eye(n) + sign * phi)
-    u, s, _ = np.linalg.svd(proj)
-    k = int(np.sum(s > 0.5))
-    return u[:, :k]
-
-
 def z2_split(C: Z2Complex):
     """The +-1 eigen-subcomplexes with induced differentials and metrics."""
     C.validate()
     E = C.complex
     out = []
     for sign in (1, -1):
-        bases = [_eigenspace_basis(phi, sign) for phi in C.involution]
+        # the +-1 eigenspace of phi is the range of the projector (1 +- phi)/2
+        bases = [rank_split(0.5 * (np.eye(len(phi)) + sign * phi))[0]
+                 for phi in C.involution]
         dims = [b.shape[1] for b in bases]
         v = [bases[q + 1].conj().T @ E.v[q] @ bases[q] for q in range(len(E.v))]
         h = [b.conj().T @ E.h[q] @ b for q, b in enumerate(bases)]
@@ -365,8 +366,7 @@ def comparison_torsions(P: PsiMaps):
 # ---- equivariant torsion -------------------------------------------------
 
 
-def equivariant_scalar_torsion(C: Z2Complex, g: str = "reflection",
-                               cluster_tol: float = 1e-8) -> float:
+def equivariant_scalar_torsion(C: Z2Complex, g: str = "reflection") -> float:
     """Degree-zero equivariant torsion of an involution-invariant complex.
 
     Eigenvalue route: (1/2) sum_q (-1)^q q sum_lambda tr(g | lambda
@@ -389,17 +389,15 @@ def equivariant_scalar_torsion(C: Z2Complex, g: str = "reflection",
         else:
             raise ValueError(f"unknown group element {g!r}")
         scale = max(w[-1], 1.0)
-        i = 0
+        i = d - numerical_rank(w[::-1])   # skip the zero modes
         acc = 0.0
         while i < d:
             j = i
-            while j + 1 < d and w[j + 1] - w[i] < cluster_tol * scale:
+            while j + 1 < d and w[j + 1] - w[i] < _CLUSTER_TOL * scale:
                 j += 1
-            lam = float(np.mean(w[i:j + 1]))
-            if lam > cluster_tol * scale:
-                block = u[:, i:j + 1]
-                weight = np.trace(block.conj().T @ phi_on @ block).real
-                acc += weight * np.log(lam)
+            block = u[:, i:j + 1]
+            weight = np.trace(block.conj().T @ phi_on @ block).real
+            acc += weight * np.log(float(np.mean(w[i:j + 1])))
             i = j + 1
         total += 0.5 * ((-1.0) ** q) * q * acc
     return total

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import MetricComplex, RANK_THRESHOLD, torsion_form
+from .complexes import MetricComplex, rank_split, torsion_form
 from .hodge import (
     cohomology_class_basis,
     induced_gram,
@@ -43,6 +43,8 @@ __all__ = [
     "three_column_les",
 ]
 
+# relative residual allowed when a page vector is placed in a span; ranks
+# are decided by the package-wide policy in ``complexes``
 _TOL = 1e-8
 
 
@@ -260,24 +262,11 @@ class _Ambient:
         return self.block_columns(blocks).conj().T
 
 
-def _orth_columns(m: np.ndarray):
-    if m.size == 0 or m.shape[1] == 0:
-        return m.reshape(m.shape[0], 0)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > _TOL * max(s[0], 1.0)))
-    return u[:, :rank]
-
-
 def _null_columns(constraint: np.ndarray, basis: np.ndarray):
     """Orthonormal basis of {x in span(basis) : constraint @ x = 0}."""
-    if basis.shape[1] == 0:
+    if basis.shape[1] == 0 or constraint.shape[0] == 0:
         return basis
-    if constraint.shape[0] == 0:
-        return basis
-    m = constraint @ basis
-    _, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > _TOL * max(s[0] if len(s) else 0.0, 1.0)))
-    return basis @ vh[rank:].conj().T
+    return basis @ rank_split(constraint @ basis)[1]
 
 
 def pages(D: DoubleComplexData, filtration: str = "columns", r_max: int | None = None):
@@ -309,7 +298,7 @@ def pages(D: DoubleComplexData, filtration: str = "columns", r_max: int | None =
         """Boundary subspace of Z_r^{p,q}, orthonormalized."""
         boundary = z_space(r - 1, p + 1, q - 1)
         lift = z_space(r - 1, p - r + 1, q + r - 2)
-        return _orth_columns(np.concatenate([boundary, amb.full @ lift], axis=1))
+        return rank_split(np.concatenate([boundary, amb.full @ lift], axis=1))[0]
 
     # Metrics are induced page by page through finite-dimensional Hodge
     # theory: representatives stay ambient-orthonormal, and each passage

@@ -79,6 +79,26 @@ class TestTorsionCommand:
         path = write(tmp_path, f"{bad}.json", complex_to_json(MetricComplex([2, 2], [v], h)))
         assert main(["torsion", path, "--kind", "complex"]) == 2
 
+    @pytest.mark.parametrize("bad", ["morse_transport", "double_transport",
+                                     "holonomy", "nan_length", "inf_length"])
+    def test_non_finite_data_exits_2(self, tmp_path, capsys, bad):
+        if bad in ("morse_transport", "double_transport"):
+            kind = bad.split("_")[0]
+            datum = (split_circle_data(np.array([[np.exp(0.9j)]])) if kind == "morse"
+                     else double(arc_data(rank=1)))
+            doc = json.loads(morse_to_json(datum))
+            doc["instantons"][0]["transport"]["re"][0][0] = float("nan")
+        else:
+            kind = "geometry"
+            doc = json.loads(geometry_to_json(ModelGeometry("circle", 2.0)))
+            if bad == "holonomy":
+                doc["holonomy"]["im"][0][0] = float("nan")
+            else:
+                doc["length"] = float("nan" if bad == "nan_length" else "inf")
+        path = write(tmp_path, f"{bad}.json", json.dumps(doc))
+        assert main(["torsion", path, "--kind", kind]) == 2
+        assert "non-finite or overflowing" in capsys.readouterr().err
+
     def test_invariant_violation_exits_3(self, tmp_path):
         doc = {"kind": "circle", "length": 1.0, "rank": 1,
                "holonomy": {"re": [[2.0]], "im": [[0.0]]}}

@@ -24,7 +24,9 @@ from torsionlab.complexes import (
     char_form,
     complex_from_json,
     complex_to_json,
+    numerical_rank,
     omega,
+    rank_split,
     rescale_metric,
     tilde_f,
     torsion_form,
@@ -469,6 +471,28 @@ class TestSerialization:
                                             [np.eye(1), np.eye(1)]))
         bad = doc.replace('"dims": [\n    1,\n    1\n  ]', '"dims": [\n    1,\n    1\n  ]')
         complex_from_json(bad)  # unchanged doc still loads
+
+
+class TestRankPolicy:
+    def test_cut_is_relative_above_unit_scale(self):
+        assert numerical_rank(np.array([1.0, 2e-10, 5e-11])) == 2
+        assert numerical_rank(np.array([1e3, 2e-8, 1e-8])) == 1
+        assert numerical_rank(np.array([1.0, 5e-11]), scale=0.1) == 1
+        assert numerical_rank(np.array([1.0, 5e-9]), scale=1e2) == 1
+        assert numerical_rank(np.zeros(0)) == 0
+
+    def test_split_bases_are_orthonormal_and_complementary(self):
+        m = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1e-12]])
+        col, null = rank_split(m)
+        assert col.shape == (2, 1) and null.shape == (3, 2)
+        np.testing.assert_allclose(null.conj().T @ null, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(m @ null, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_matrices(self, shape):
+        col, null = rank_split(np.zeros(shape, dtype=complex))
+        assert col.shape == (shape[0], 0)
+        np.testing.assert_array_equal(null, np.eye(shape[1]))
 
 
 class TestValidation:

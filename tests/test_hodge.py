@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from torsionlab import complexes
 from torsionlab.complexes import MetricComplex
 from torsionlab.hodge import (
     IllConditionedError,
@@ -139,6 +140,16 @@ class TestScalarTorsion:
         odd = MetricComplex(E.dims, E.v, E.h, grading_offset=1)
         assert scalar_torsion_eigen(odd) == pytest.approx(
             -scalar_torsion_eigen(E), abs=1e-12)
+
+
+class TestRankPolicy:
+    def test_every_rank_decision_follows_the_one_threshold(self, monkeypatch):
+        monkeypatch.setattr(complexes, "RANK_THRESHOLD", 1e-3)
+        E = MetricComplex([2, 2], [np.diag([1.0, 1e-4])], [np.eye(2)] * 2)
+        assert E.betti() == (1, 1)
+        assert tuple(z.shape[1] for z in cohomology_class_basis(E)) == (1, 1)
+        assert hodge_decompose(E).betti == (1, 1)
+        assert scalar_torsion_eigen(E) == 0.0
 
 
 class TestChiSums:

@@ -101,6 +101,13 @@ class TestPages:
         for pg in pages(D, r_max=3):
             page_to_complex(pg).validate()
 
+    def test_last_page_ranks_follow_the_one_policy(self):
+        # a horizontal singular value of 1e-9 is nonzero to the package's
+        # rank policy, so the pages converge to the zero total cohomology
+        D = DoubleComplexData([[2], [2]], hv={(0, 0): np.diag([1.0, 1e-9])})
+        last = page_to_complex(pages(D)[-1])
+        assert tuple(last.dims) == total_complex(D).betti() == (0, 0)
+
     def test_orthonormal_representatives(self):
         rng = np.random.default_rng(10)
         D = small_double(rng)
