@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -265,6 +266,16 @@ def _morse_l2_grams(s: GluingScenario, D, class_reps):
     return grams
 
 
+@cache
+def _arc_comparison_torsions(rank: int):
+    """``comparison_torsions`` of the arc with default transports.
+
+    It depends on the rank alone (no holonomy, length or split enters),
+    so it is computed once per rank.
+    """
+    return comparison_torsions(psi_maps(arc_data(rank=rank)))
+
+
 def verify_morse_side(s: GluingScenario, tolerance: float = 1e-9,
                       analytic_tolerance: float = 1e-7) -> dict:
     """The combinatorial ledger for a circle scenario.
@@ -314,7 +325,7 @@ def verify_morse_side(s: GluingScenario, tolerance: float = 1e-9,
     les_vs_mv = data.torsion_les() - mv.torsion()
 
     # boundary defect of the invariant comparison map
-    defect, anti = comparison_torsions(psi_maps(arc_data(rank=s.rank)))
+    defect, anti = _arc_comparison_torsions(s.rank)
     defect_residual = defect - (-0.5 * LOG2 * s.chi_y() * s.rank)
 
     # full comparison with the analytic torsions

@@ -239,6 +239,10 @@ class Z2Complex:
 
     def validate(self) -> "Z2Complex":
         E = self.complex
+        for name, blocks in (("involution", self.involution),
+                             ("differential", E.v), ("metric", E.h)):
+            for q, blk in enumerate(blocks):
+                check_finite(f"{name} {q}", blk)
         for q, phi in enumerate(self.involution):
             if np.linalg.norm(phi @ phi - np.eye(phi.shape[0])) > 1e-10:
                 raise MorseDataError(f"involution does not square to one in degree {q}")

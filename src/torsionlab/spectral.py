@@ -19,10 +19,11 @@ differentials (vertical and horizontal).  From it we build:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
-from .complexes import MetricComplex, rank_split, torsion_form
+from .complexes import MetricComplex, check_finite, rank_split, torsion_form
 from .hodge import (
     cohomology_class_basis,
     induced_gram,
@@ -108,18 +109,31 @@ class DoubleComplexData:
         return m
 
     def validate(self):
+        """Finite entries, dv^2 = 0, hv^2 = 0 and dv hv + hv dv = 0.
+
+        Only products of two stored blocks are formed: an absent block
+        is zero, and so is every product it enters.
+        """
+        for name, blocks in (("vertical differential", self.dv),
+                             ("horizontal differential", self.hv), ("metric", self.h)):
+            for key, m in blocks.items():
+                check_finite(f"{name} at {key}", m)
         scale = max([np.linalg.norm(m) for m in (*self.dv.values(), *self.hv.values())],
                     default=1.0)
         tol = 1e-10 * max(scale * scale, 1.0)
+        dv, hv = self.dv.get, self.hv.get
+
+        def norm_of(*pairs):
+            terms = [a @ b for a, b in pairs if a is not None and b is not None]
+            return np.linalg.norm(sum(terms)) if terms else 0.0
+
         for p in range(self.P):
             for q in range(self.Q):
-                if np.linalg.norm(self.dv_at(p, q + 1) @ self.dv_at(p, q)) > tol:
+                if norm_of((dv((p, q + 1)), dv((p, q)))) > tol:
                     raise DoubleComplexError(f"vertical differential squares to nonzero at {(p, q)}")
-                if np.linalg.norm(self.hv_at(p + 1, q) @ self.hv_at(p, q)) > tol:
+                if norm_of((hv((p + 1, q)), hv((p, q)))) > tol:
                     raise DoubleComplexError(f"horizontal differential squares to nonzero at {(p, q)}")
-                anti = (self.dv_at(p + 1, q) @ self.hv_at(p, q)
-                        + self.hv_at(p, q + 1) @ self.dv_at(p, q))
-                if np.linalg.norm(anti) > tol:
+                if norm_of((dv((p + 1, q)), hv((p, q))), (hv((p, q + 1)), dv((p, q)))) > tol:
                     raise DoubleComplexError(f"differentials do not anticommute at {(p, q)}")
         return self
 
@@ -217,28 +231,30 @@ class _Ambient:
                 self.offsets[(p, q)] = total
                 total += D.dim(p, q)
         self.N = total
-        # Cholesky frames: y = L^H x are orthonormal coordinates per block
-        frames = {}
+        # Cholesky frames: y = L^H x are orthonormal coordinates per block;
+        # a map m from src to dst becomes L_dst^H m (L_src^H)^{-1}
+        frames, inverse = {}, {}
         for p in range(D.P):
             for q in range(D.Q):
-                d = D.dim(p, q)
-                frames[(p, q)] = np.linalg.cholesky(D.h_at(p, q)) if d else _zeros(0, 0)
+                if D.dim(p, q):
+                    frames[(p, q)] = np.linalg.cholesky(D.h_at(p, q)).conj().T
+                    inverse[(p, q)] = np.linalg.inv(frames[(p, q)])
         self.full = _zeros(self.N, self.N)
 
         def place(src, dst, m):
-            if m.size == 0:
+            # an absent map is zero and leaves its block of ``full`` zero
+            if m is None or m.size == 0:
                 return
-            ls, ld = frames[src], frames[dst]
-            mt = ld.conj().T @ m @ np.linalg.inv(ls.conj().T)
+            mt = frames[dst] @ m @ inverse[src]
             i, j = self.offsets[dst], self.offsets[src]
             self.full[i:i + mt.shape[0], j:j + mt.shape[1]] += mt
 
         for p in range(D.P):
             for q in range(D.Q):
                 if q + 1 < D.Q:
-                    place((p, q), (p, q + 1), D.dv_at(p, q))
+                    place((p, q), (p, q + 1), D.dv.get((p, q)))
                 if p + 1 < D.P:
-                    place((p, q), (p + 1, q), D.hv_at(p, q))
+                    place((p, q), (p + 1, q), D.hv.get((p, q)))
 
     def block_columns(self, blocks):
         """Identity columns spanning the listed (p, q) blocks."""
@@ -284,6 +300,10 @@ def pages(D: DoubleComplexData, filtration: str = "columns", r_max: int | None =
         r_max = max(D.P, 2)
     amb = _Ambient(D)
 
+    # Both spaces are pure functions of (r, p, q) for this D, and b_space
+    # is asked for again by every source that targets it and by the next
+    # page: each is built once per call.  Callers never modify the arrays.
+    @cache
     def z_space(r, p, q):
         """{x in F^p C^n : D x lands in F^{p+r} C^{n+1}} (any r >= -1)."""
         n = p + q
@@ -294,6 +314,7 @@ def pages(D: DoubleComplexData, filtration: str = "columns", r_max: int | None =
         rows = amb.low_projector_rows(p + r, n + 1)
         return _null_columns(rows @ amb.full, basis)
 
+    @cache
     def b_space(r, p, q):
         """Boundary subspace of Z_r^{p,q}, orthonormalized."""
         boundary = z_space(r - 1, p + 1, q - 1)
@@ -328,6 +349,8 @@ def pages(D: DoubleComplexData, filtration: str = "columns", r_max: int | None =
                     f"{(p, q)} (residual {err:.2e})")
             diffs[(p, q)] = coords[:tgt.shape[1]]
         out.append(SpectralPage(r, "columns", dict(spaces), diffs))
+        if r == r_max:  # page r_max + 1 is not asked for
+            break
         nxt, nxt_z = {}, {}
         for (p, q), src in spaces.items():
             k = src.shape[1]
@@ -509,11 +532,12 @@ def three_column_les(D: DoubleComplexData, grams=None, class_reps=None) -> Three
         raise ValueError("a three-column double complex is required")
     D.validate()
     Q = D.Q
-    cols = [D.column_complex(p) for p in range(3)]
-    if class_reps is None:
-        class_reps = [cohomology_class_basis(c) for c in cols]
-    if grams is None:
-        grams = [induced_gram(c, r) for c, r in zip(cols, class_reps)]
+    if class_reps is None or grams is None:
+        cols = [D.column_complex(p) for p in range(3)]
+        if class_reps is None:
+            class_reps = [cohomology_class_basis(c) for c in cols]
+        if grams is None:
+            grams = [induced_gram(c, r) for c, r in zip(cols, class_reps)]
 
     # maps induced on cohomology by the horizontal differential
     def induced_map(p, q):

@@ -1,10 +1,14 @@
 """Tests for the command-line entry points and report plumbing."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import torsionlab
 from torsionlab import cli
 from torsionlab.analytic import ModelGeometry, geometry_to_json
 from torsionlab.cli import format_report, main, run_torsion, run_verify
@@ -159,3 +163,13 @@ class TestVerifyCommand:
         doc = json.loads(format_report(run_verify("analytic", seed=2), "json"))
         assert doc["command"] == "verify"
         assert all(c["verdict"] == "pass" for c in doc["checks"])
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(torsionlab.__file__)))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "torsionlab", "verify", "morse", "--seed", "3"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "verdict: pass" in proc.stdout

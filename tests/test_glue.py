@@ -6,6 +6,7 @@ import pytest
 from torsionlab.glue import (
     GluingError,
     GluingScenario,
+    _arc_comparison_torsions,
     build_mv,
     scenario_from_json,
     scenario_to_json,
@@ -14,6 +15,8 @@ from torsionlab.glue import (
     verify_gluing_degree0,
     verify_morse_side,
 )
+from torsionlab.instances import random_unitary
+from torsionlab.morse import arc_data, comparison_torsions, psi_maps
 
 LOG2 = float(np.log(2.0))
 
@@ -143,6 +146,35 @@ class TestMorseSide:
     def test_interval_scenario_rejected(self):
         with pytest.raises(GluingError):
             verify_morse_side(GluingScenario("interval", 1.0, 0.5, bc="abs"))
+
+
+class TestArcComparisonCache:
+    def test_cached_pair_equals_a_fresh_build_bit_for_bit(self):
+        for rank in (1, 2, 3):
+            cached = _arc_comparison_torsions(rank)
+            fresh = comparison_torsions(psi_maps(arc_data(rank=rank)))
+            assert [float(x).hex() for x in cached] == [float(x).hex() for x in fresh]
+
+    def test_one_entry_per_rank(self):
+        # the key is the rank alone: holonomies, lengths and splits of the
+        # standard grid and of random scenarios add no entries
+        _arc_comparison_torsions.cache_clear()
+        ranks = set()
+        for report in standard_sweep():
+            s = scenario_from_json(report["scenario"])
+            if s.kind == "circle":
+                verify_morse_side(s)
+                ranks.add(s.rank)
+        rng = np.random.default_rng(22)
+        for rank in (1, 3, 3, 2):
+            s = GluingScenario("circle", float(rng.uniform(0.5, 4.0)),
+                               float(rng.uniform(0.2, 0.8)),
+                               holonomy=random_unitary(rng, rank))
+            verify_morse_side(s)
+            ranks.add(rank)
+        info = _arc_comparison_torsions.cache_info()
+        assert ranks == {1, 2, 3}
+        assert info.currsize == info.misses == len(ranks)
 
 
 class TestDoubleFormula:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from torsionlab.complexes import MetricComplex
+from torsionlab.complexes import MetricComplex, NonFiniteDataError
 from torsionlab.hodge import scalar_torsion_eigen
 from torsionlab.instances import random_invertible, random_unitary
 from torsionlab.morse import (
@@ -11,6 +11,7 @@ from torsionlab.morse import (
     Instanton,
     MorseData,
     MorseDataError,
+    Z2Complex,
     arc_data,
     circle_height_data,
     double,
@@ -114,6 +115,23 @@ class TestDoubling:
         t1, t2 = random_unitary(rng, 2), random_unitary(rng, 2)
         C = doubled_complex(double(arc_data((t1, t2), rank=2)))
         C.validate()
+
+    @pytest.mark.parametrize("where,value", [
+        ("involution", np.nan), ("involution", np.inf),
+        ("differential", np.nan), ("metric", 1e200)])
+    def test_non_finite_entry_rejected(self, where, value):
+        C = doubled_complex(double(arc_data(rank=2)))
+        E = C.complex
+        invol, v, h = list(C.involution), list(E.v), list(E.h)
+        blocks = {"involution": invol, "differential": v, "metric": h}[where]
+        blk = blocks[0].copy()
+        blk[0, 0] = value
+        blocks[0] = blk
+        bad = Z2Complex(MetricComplex(E.dims, v, h), invol)
+        with pytest.raises(NonFiniteDataError, match=f"{where} 0"):
+            bad.validate()
+        with pytest.raises(NonFiniteDataError):
+            z2_split(bad)
 
     def test_split_dimensions(self):
         C = doubled_complex(double(arc_data(rank=2)))

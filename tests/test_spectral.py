@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from torsionlab.complexes import MetricComplex, torsion_form
+from torsionlab.complexes import MetricComplex, NonFiniteDataError, torsion_form
 from torsionlab.hodge import scalar_torsion_eigen
 from torsionlab.instances import (
     random_exact_row_double_complex,
@@ -12,6 +12,7 @@ from torsionlab.instances import (
 )
 from torsionlab.spectral import (
     DoubleComplexData,
+    DoubleComplexError,
     compose,
     page_decomposition_residual,
     page_to_complex,
@@ -48,6 +49,88 @@ class TestDoubleComplexData:
         assert T.dims == D.dims
         for k in D.dv:
             np.testing.assert_allclose(T.dv_at(*k), D.dv_at(*k))
+
+
+def validate_all_positions(D):
+    """The all-positions loop that ``validate()`` had before it formed only
+    products of stored blocks: every product is formed, absent blocks as
+    explicit zeros.  Kept here as a reference for that change."""
+    scale = max([np.linalg.norm(m) for m in (*D.dv.values(), *D.hv.values())],
+                default=1.0)
+    tol = 1e-10 * max(scale * scale, 1.0)
+    for p in range(D.P):
+        for q in range(D.Q):
+            if np.linalg.norm(D.dv_at(p, q + 1) @ D.dv_at(p, q)) > tol:
+                raise DoubleComplexError(f"vertical differential squares to nonzero at {(p, q)}")
+            if np.linalg.norm(D.hv_at(p + 1, q) @ D.hv_at(p, q)) > tol:
+                raise DoubleComplexError(f"horizontal differential squares to nonzero at {(p, q)}")
+            anti = (D.dv_at(p + 1, q) @ D.hv_at(p, q)
+                    + D.hv_at(p, q + 1) @ D.dv_at(p, q))
+            if np.linalg.norm(anti) > tol:
+                raise DoubleComplexError(f"differentials do not anticommute at {(p, q)}")
+    return D
+
+
+def first_message(check, D):
+    try:
+        check(D)
+    except DoubleComplexError as exc:
+        return str(exc)
+    return None
+
+
+class TestValidate:
+    def test_matches_the_all_positions_loop(self):
+        # one dv or hv block perturbed at a time, every stored position
+        # (edge and interior) at sizes from below the cut to order one;
+        # then one dv and one hv block at once, which fixes the check order
+        rng = np.random.default_rng(19)
+        verdicts = set()
+        for n_rows in (2, 2, 3, 3):
+            D = small_double(rng, n_rows=n_rows)
+            singles = [[(which, key)] for which in ("dv", "hv") for key in getattr(D, which)]
+            pairs = [[("dv", a), ("hv", b)] for a in D.dv for b in D.hv]
+            for targets in singles + pairs:
+                noise = {t: rng.standard_normal(getattr(D, t[0])[t[1]].shape)
+                         + 1j * rng.standard_normal(getattr(D, t[0])[t[1]].shape)
+                         for t in targets}
+                for size in (0.0, 1e-13, 1e-10, 1e-8, 1e-4, 1.0):
+                    blocks = {"dv": dict(D.dv), "hv": dict(D.hv)}
+                    for which, key in targets:
+                        blocks[which][key] = blocks[which][key] + size * noise[(which, key)]
+                    bad = DoubleComplexData(D.dims, blocks["dv"], blocks["hv"], D.h)
+                    got = first_message(DoubleComplexData.validate, bad)
+                    want = first_message(validate_all_positions, bad)
+                    assert got == want, (n_rows, targets, size)
+                    verdicts.add(None if got is None else got.split(" at ")[0])
+        # passes and each of the three failure kinds were seen
+        assert verdicts == {None, "vertical differential squares to nonzero",
+                            "horizontal differential squares to nonzero",
+                            "differentials do not anticommute"}
+
+    @pytest.mark.parametrize("which,key,value", [
+        ("hv", (0, 0), np.nan), ("hv", (1, 1), np.inf),
+        ("dv", (1, 0), np.nan), ("dv", (2, 0), 1e200), ("h", (2, 1), np.nan)])
+    def test_non_finite_entry_rejected(self, which, key, value):
+        rng = np.random.default_rng(20)
+        D = small_double(rng, n_rows=2)
+        blocks = {"dv": dict(D.dv), "hv": dict(D.hv), "h": dict(D.h)}
+        blk = blocks[which][key].copy()
+        blk[0, 0] = value
+        blocks[which][key] = blk
+        bad = DoubleComplexData(D.dims, blocks["dv"], blocks["hv"], blocks["h"])
+        with pytest.raises(NonFiniteDataError, match="non-finite or overflowing"):
+            bad.validate()
+        with pytest.raises(NonFiniteDataError):
+            pages(bad)
+
+    def test_nan_passed_the_norm_checks_alone(self):
+        # norm(NaN) > tol is False: only the finiteness check catches it
+        rng = np.random.default_rng(21)
+        D = small_double(rng, n_rows=2)
+        hv = dict(D.hv)
+        hv[(0, 0)] = np.full_like(hv[(0, 0)], np.nan)
+        validate_all_positions(DoubleComplexData(D.dims, D.dv, hv, D.h))
 
 
 class TestTotalComplex:
@@ -107,6 +190,18 @@ class TestPages:
         D = DoubleComplexData([[2], [2]], hv={(0, 0): np.diag([1.0, 1e-9])})
         last = page_to_complex(pages(D)[-1])
         assert tuple(last.dims) == total_complex(D).betti() == (0, 0)
+
+    def test_shorter_run_is_a_prefix_of_the_full_one(self):
+        rng = np.random.default_rng(23)
+        D = small_double(rng, n_rows=3)
+        full = pages(D)
+        for r_max in (0, 1):
+            part = pages(D, r_max=r_max)
+            assert len(part) == r_max + 1
+            for a, b in zip(part, full):
+                assert a.spaces.keys() == b.spaces.keys() and a.d.keys() == b.d.keys()
+                assert all(np.array_equal(a.spaces[k], b.spaces[k]) for k in a.spaces)
+                assert all(np.array_equal(a.d[k], b.d[k]) for k in a.d)
 
     def test_orthonormal_representatives(self):
         rng = np.random.default_rng(10)
