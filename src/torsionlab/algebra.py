@@ -52,6 +52,7 @@ __all__ = [
     "regular_supertrace",
     "phi_rescale",
     "matrix_function",
+    "f_prime",
     "exterior_d",
     "PHI_ROOT",
 ]
@@ -342,8 +343,10 @@ class FormMatrix:
         degree at most 2 floor(max_degree / 2): the representation on the
         quotient by the forms of higher degree.
         """
+        if self.coeffs.shape[-3] == 1:  # a one-key algebra: the block itself
+            return self.coeffs[..., 0, :, :]
         index, factor = _regular_tables(self.algebra, self.grading, even)
-        if len(index) == 1:  # key 0 alone: the block itself
+        if len(index) == 1:  # key 0 alone kept: the block itself
             return self.coeffs[..., 0, :, :]
         n, nk, lead = self.size, len(index), self.coeffs.shape[:-3]
         padded = np.concatenate([self.coeffs, np.zeros(lead + (1, n, n), dtype=complex)], axis=-3)
@@ -525,8 +528,16 @@ def matrix_function(m, which: str):
     if which == "f":
         return m @ emsq
     if which == "f_prime":
-        return (ident + 2.0 * msq) @ emsq
+        return f_prime(msq, emsq, ident)
     raise ValueError(f"unknown matrix function {which!r}")
+
+
+def f_prime(msq, emsq, ident=None):
+    """f'(a) = (1 + 2a^2) e^{a^2}, from a^2 and e^{a^2}: stacks of matrices,
+    or ``FormMatrix``es with their identity ``ident``."""
+    if ident is None:
+        ident = np.eye(msq.shape[-1])
+    return (ident + 2.0 * msq) @ emsq
 
 
 def exterior_d(elem: FormElement) -> FormElement:

@@ -29,11 +29,12 @@ from .algebra import (
     FormElement,
     FormMatrix,
     PHI_ROOT,
+    f_prime,
     matrix_function,
     phi_rescale,
     regular_supertrace,
 )
-from .quad import QuadratureSpec, adaptive_quad
+from .quad import QuadratureError, QuadratureSpec, adaptive_quad
 
 __all__ = [
     "MetricComplex",
@@ -50,6 +51,9 @@ __all__ = [
     "numerical_rank",
     "rank_split",
 ]
+
+# Dyadic windows the t > 1 half of a torsion form may walk before it gives up.
+TAIL_WINDOWS = 40
 
 # Largest accepted magnitude of a differential or metric entry: products
 # of two entries, times the t of the quadrature (up to 2^80), stay far
@@ -322,7 +326,9 @@ def _chi_sums(E: MetricComplex):
 def _number_supertrace(E: MetricComplex):
     """The map from an array ts of times to the rows of coefficients
     (``FormElement.to_vector`` order) of the supertrace of (N/2) f'(X_t),
-    phi-rescaled, one row per t.
+    phi-rescaled, one row per t.  Its optional second argument maps the
+    stack of the X_t^2 to their exponentials; by default they are
+    evaluated afresh.
 
     Only the even part is evaluated: f' of the even part of X_t's
     regular representation, which is exact (see ``algebra``).  X_t is
@@ -348,11 +354,29 @@ def _number_supertrace(E: MetricComplex):
     # supertrace against N/2: sum_i (-1)^{g_i} (g_i/2) M_ii
     weights = np.array([((-1.0) ** g) * 0.5 * g for g in E.grading])
 
-    def supertrace(ts):
-        fp = matrix_function(rep0 + ts.reshape(node_axis) * rep1, "f_prime")
-        return regular_supertrace(alg, fp, weights)
+    def supertrace(ts, exp_square=None):
+        x = rep0 + ts.reshape(node_axis) * rep1
+        msq = x @ x
+        emsq = matrix_function(msq, "exp") if exp_square is None else exp_square(msq)
+        return regular_supertrace(alg, f_prime(msq, emsq), weights)
 
     return supertrace
+
+
+def _square_is_linear(E: MetricComplex) -> bool:
+    """Whether X_t^2 = t K for one matrix K, to rounding.
+
+    On a point base without ``omega_data``, X_t = (t v* - v)/2, whose
+    square is t (v v* + v* v)/4 where v^2 and v*^2 vanish.  They must
+    vanish to rounding, relative to |v|^2 and |v*|^2: ``validate()``
+    admits a residual up to 1e-10 scale^2, which would enter X_t^2 apart
+    from the t K term.
+    """
+    if isinstance(E.base, CircleBase) or E.omega_data is not None:
+        return False
+    cut = 8 * E.total_dim * np.finfo(float).eps
+    return all(np.linalg.norm(m @ m) <= cut * np.linalg.norm(m) ** 2
+               for m in (E.v_total(), _v_adjoint(E)))
 
 
 def torsion_form(E: MetricComplex, quad: QuadratureSpec = QuadratureSpec()) -> TorsionFormResult:
@@ -365,7 +389,9 @@ def torsion_form(E: MetricComplex, quad: QuadratureSpec = QuadratureSpec()) -> T
     on the even part of the form algebra alone (``_number_supertrace``).
     That needs X_t odd in total parity, true for omega = h^{-1} dh of a
     graded metric; an ``omega_data`` that is not odd raises
-    ``ComplexDataError``.
+    ``ComplexDataError``.  A tail that has not fallen below a tenth of
+    the tolerance after ``TAIL_WINDOWS`` windows raises
+    ``QuadratureError``.
     """
     d_E, d_H, betti = _chi_sums(E)
     alg = E.form_algebra()
@@ -377,9 +403,9 @@ def torsion_form(E: MetricComplex, quad: QuadratureSpec = QuadratureSpec()) -> T
     # the degree-0 coefficient: one value, or one per grid point
     degree0 = slice(0, alg.grid_size if isinstance(alg, CircleBase) else 1)
 
-    def integrand(ts):
+    def integrand(ts, exp_square=None):
         """Rows of the form coefficients (FormElement.to_vector order) per t."""
-        out = supertrace(ts)
+        out = supertrace(ts, exp_square)
         # counterterms: d_H/2 at t = infinity, (d_E - d_H)/2 f'(i sqrt(t)/2) at t = 0
         out[:, degree0] -= (0.5 * d_H + 0.5 * (d_E - d_H) * (1.0 - 0.5 * ts)
                             * np.exp(-0.25 * ts))[:, None]
@@ -392,19 +418,45 @@ def torsion_form(E: MetricComplex, quad: QuadratureSpec = QuadratureSpec()) -> T
     # evaluation of f'(X_t) loses absolute accuracy like t * eps.  Walk
     # dyadic windows towards u = 0 and stop once a window's contribution is
     # negligible, before round-off noise dominates the integrand.
+    #
+    # The windows halve in u, so a panel of one window has the nodes of a
+    # panel of the window before, halved exactly: 4x the t.  Where
+    # X_t^2 = t K, e^{X^2} there is that panel's e^{X^2} to the fourth
+    # power, two squarings instead of a Pade evaluation.  ``last`` holds
+    # the previous window's e^{X^2} by panel nodes, ``seen`` the current's.
+    linear = _square_is_linear(E)
+    last, seen = {}, {}
+
+    def tail_exp(u, msq):
+        prior = last.get((2.0 * u).tobytes())
+        if prior is None:
+            e = matrix_function(msq, "exp")
+        else:
+            e = prior @ prior
+            e = e @ e
+        seen[u.tobytes()] = e
+        return e
+
+    def tail(u):
+        exp_square = (lambda msq: tail_exp(u, msq)) if linear else None
+        return integrand(u ** -2.0, exp_square) * (2.0 / u)[:, None]
+
     upper = np.zeros_like(lower)
     err_hi = 0.0
     cut = 0.1 * quad.tolerance
     hi = 1.0
-    for _ in range(40):
+    for _ in range(TAIL_WINDOWS):
         lo_end = 0.5 * hi
-        window, werr = adaptive_quad(lambda u: integrand(u ** -2.0) * (2.0 / u)[:, None],
-                                     lo_end, hi, quad)
+        window, werr = adaptive_quad(tail, lo_end, hi, quad)
         upper = upper + window
         err_hi += werr
         if np.max(np.abs(window)) < cut:
             break
         hi = lo_end
+        last, seen = seen, {}
+    else:
+        raise QuadratureError(f"the t > 1 tail is still above {cut:.3g} after "
+                              f"{TAIL_WINDOWS} dyadic windows (t up to {hi ** -2.0:.3g})")
     total = -(lower + upper)
     element = FormElement.from_vector(alg, total)
     deg0 = element.coefficient(0)

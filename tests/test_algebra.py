@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from torsionlab import algebra
 from torsionlab.algebra import (
     EXPM_CHUNK,
     AlgebraError,
@@ -169,6 +170,18 @@ class TestWedgeMul:
         alg = CircleBase(8, 1.0)
         f = FormElement(alg, {1: np.ones(8)})
         assert f.wedge(f).norm() == 0.0
+
+    def test_one_key_regular_representation_needs_no_table(self, monkeypatch):
+        # on FormalPoint(0) the regular representation is the block itself
+        def no_table(*args):
+            raise AssertionError("regular tables looked up for a one-key algebra")
+
+        monkeypatch.setattr(algebra, "_regular_tables", no_table)
+        rng = np.random.default_rng(4)
+        m = random_form_matrix(rng, FormalPoint(0), 3, (0, 1, 1))
+        for even in (False, True):
+            rep = m.regular(even=even)
+            np.testing.assert_array_equal(rep, m.block(0))
 
 
 class TestSupertrace:

@@ -173,3 +173,15 @@ class TestVerifyCommand:
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "verdict: pass" in proc.stdout
+
+    def test_finite_suite_does_not_import_scipy(self):
+        # scipy serves only the closed zeta route, which imports it itself
+        src = os.path.dirname(os.path.dirname(os.path.abspath(torsionlab.__file__)))
+        code = ("import sys\n"
+                "from torsionlab import cli, glue\n"
+                "assert cli.main(['verify', 'finite', '--seed', '3']) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"

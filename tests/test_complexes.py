@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from torsionlab import algebra
+from torsionlab import algebra, complexes
 from torsionlab.algebra import (
     _basis,
     CircleBase,
@@ -21,6 +21,7 @@ from torsionlab.complexes import (
     ComplexDataError,
     MetricComplex,
     _number_supertrace,
+    _square_is_linear,
     char_form,
     complex_from_json,
     complex_to_json,
@@ -40,8 +41,9 @@ from torsionlab.instances import (
     random_invertible,
     random_metric,
     random_two_term,
+    random_unitary,
 )
-from torsionlab.quad import QuadratureSpec, adaptive_quad
+from torsionlab.quad import QuadratureError, QuadratureSpec, adaptive_quad
 
 
 def two_term(tau, h0=None, h1=None, base=None):
@@ -298,6 +300,101 @@ def graded_one_form_complex(case):
         blocks[1 << a] = blk
     w = FormMatrix(alg, E.total_dim, E.grading, blocks)
     return MetricComplex(E.dims, E.v, E.h, base=alg, omega_data=w)
+
+
+def fresh_torsion_form(E, monkeypatch):
+    """Reference: ``torsion_form`` with every e^{X_t^2} evaluated afresh."""
+    with monkeypatch.context() as m:
+        m.setattr(complexes, "_square_is_linear", lambda E: False)
+        return torsion_form(E)
+
+
+def count_exp_slices(E, monkeypatch):
+    """Slices that reach ``algebra._expm`` in ``torsion_form(E)``, and the
+    quadrature nodes of its lower half and of its tail windows."""
+    counts = {"slices": 0, "lower": 0, "tail": 0}
+    expm, quad = algebra._expm, complexes.adaptive_quad
+
+    def recording_expm(a):
+        counts["slices"] += int(np.prod(a.shape[:-2]))
+        return expm(a)
+
+    def recording_quad(fn, a, b, spec):
+        def counted(u):
+            counts["tail" if a > 0 else "lower"] += len(u)
+            return fn(u)
+        return quad(counted, a, b, spec)
+
+    with monkeypatch.context() as m:
+        m.setattr(algebra, "_expm", recording_expm)
+        m.setattr(complexes, "adaptive_quad", recording_quad)
+        torsion_form(E)
+    return counts
+
+
+class TestDyadicTailReuse:
+    def test_matches_eigen_route_and_fresh_evaluation(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        for i in range(50):
+            E = random_complex_instance(rng, length=1 + i % 4, max_dim=5)
+            assert _square_is_linear(E)
+            res = torsion_form(E)
+            assert res.degree0 == pytest.approx(scalar_torsion_eigen(E), abs=1e-11)
+            np.testing.assert_allclose(res.element.to_vector(),
+                                       fresh_torsion_form(E, monkeypatch).element.to_vector(),
+                                       rtol=0, atol=1e-12)
+
+    def test_point_base_reuses_tail_exponentials(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        E = random_complex_instance(rng, length=3, max_dim=4)
+        counts = count_exp_slices(E, monkeypatch)
+        assert 0 < counts["slices"] < counts["tail"]
+        with monkeypatch.context() as m:
+            m.setattr(complexes, "_square_is_linear", lambda E: False)
+            fresh = count_exp_slices(E, monkeypatch)
+        assert fresh["slices"] == fresh["lower"] + fresh["tail"]
+        assert (fresh["lower"], fresh["tail"]) == (counts["lower"], counts["tail"])
+
+    @pytest.mark.parametrize("case", ["circle_r2", "point_1"])
+    def test_circle_and_omega_data_evaluate_every_node(self, case, monkeypatch):
+        E = graded_one_form_complex(case)
+        assert not _square_is_linear(E)
+        counts = count_exp_slices(E, monkeypatch)
+        grid = E.base.grid_size if isinstance(E.base, CircleBase) else 1
+        assert counts["slices"] == grid * (counts["lower"] + counts["tail"])
+
+    def test_rounding_scale_v_squared_takes_the_fresh_path(self, monkeypatch):
+        # v^2 of about 1e-12 scale^2: validate() admits it, the reuse does not
+        rng = np.random.default_rng(43)
+        u = random_unitary(rng, 2)
+        v0 = u @ np.array([[1.0], [0.0]])
+        v1 = np.array([[1e-12, 1.5]]) @ u.conj().T
+        E = MetricComplex([1, 2, 1], [v0, v1], [random_metric(rng, d) for d in (1, 2, 1)])
+        assert 1e-14 < np.linalg.norm(v1 @ v0) / 1.5**2 < 1e-10
+        E.validate()
+        assert not _square_is_linear(E)
+        counts = count_exp_slices(E, monkeypatch)
+        assert counts["slices"] == counts["lower"] + counts["tail"]
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_near_degenerate_two_term(self, k, monkeypatch):
+        # singular values 1 and 10^-k; at 1e-4 the tail bisects to max_levels
+        rng = np.random.default_rng(44)
+        tau = random_unitary(rng, 2) @ np.diag([1.0, 10.0 ** -k]) @ random_unitary(rng, 2)
+        E = two_term(tau)
+        assert _square_is_linear(E)
+        exact = scalar_torsion_eigen(E)
+        assert torsion_form(E).degree0 == pytest.approx(exact, abs=1e-10)
+        assert fresh_torsion_form(E, monkeypatch).degree0 == pytest.approx(exact, abs=1e-10)
+
+    def test_tail_that_never_falls_below_the_cut_raises(self):
+        # at tolerance 0 no window is below the cut, not even an exact zero
+        rng = np.random.default_rng(45)
+        E = two_term(random_invertible(rng, 2))
+        start = time.monotonic()
+        with pytest.raises(QuadratureError, match="dyadic windows"):
+            torsion_form(E, QuadratureSpec(tolerance=0.0, max_levels=0))
+        assert time.monotonic() - start < 1.0
 
 
 class TestTransgression:
