@@ -326,7 +326,8 @@ def _chi_sums(E: MetricComplex):
 def _number_supertrace(E: MetricComplex):
     """The map from an array ts of times to the rows of coefficients
     (``FormElement.to_vector`` order) of the supertrace of (N/2) f'(X_t),
-    phi-rescaled, one row per t.  Its optional second argument maps the
+    phi-rescaled, one row per t, and whether X_t^2 is linear in t
+    (``_square_is_linear``).  The map's optional second argument maps the
     stack of the X_t^2 to their exponentials; by default they are
     evaluated afresh.
 
@@ -360,23 +361,32 @@ def _number_supertrace(E: MetricComplex):
         emsq = matrix_function(msq, "exp") if exp_square is None else exp_square(msq)
         return regular_supertrace(alg, f_prime(msq, emsq), weights)
 
-    return supertrace
+    return supertrace, _square_is_linear(rep0, rep1)
 
 
-def _square_is_linear(E: MetricComplex) -> bool:
-    """Whether X_t^2 = t K for one matrix K, to rounding.
+def _square_is_linear(rep0: np.ndarray, rep1: np.ndarray) -> bool:
+    """Whether X_t^2 = t K for one K per slice, to rounding, with K not
+    diagonal: the gate of the tail reuse in ``torsion_form``.
 
-    On a point base without ``omega_data``, X_t = (t v* - v)/2, whose
-    square is t (v v* + v* v)/4 where v^2 and v*^2 vanish.  They must
-    vanish to rounding, relative to |v|^2 and |v*|^2: ``validate()``
-    admits a residual up to 1e-10 scale^2, which would enter X_t^2 apart
-    from the t K term.
+    X_t's even representation is rep0 + t rep1, whose square is
+    rep0^2 + t K + t^2 rep1^2 with K = rep0 rep1 + rep1 rep0.  It is
+    (t v* - v)/2, at each grid point on a circle, wherever omega drops
+    out of the even block: on a point base without ``omega_data``, on a
+    circle, whose omega is a one-form, and on FormalPoint(1).  rep0^2 and
+    rep1^2 must vanish to rounding in every slice, relative to that
+    slice's |rep0|^2 and |rep1|^2: ``validate()`` admits a v^2 residual
+    up to 1e-10 scale^2, which would enter X_t^2 apart from the t K term.
+    Where K is exactly diagonal, as on rank-one two-term data, every X_t^2
+    is too, and ``_expm`` takes its exponential entry by entry, cheaper
+    than two squarings.
     """
-    if isinstance(E.base, CircleBase) or E.omega_data is not None:
-        return False
-    cut = 8 * E.total_dim * np.finfo(float).eps
-    return all(np.linalg.norm(m @ m) <= cut * np.linalg.norm(m) ** 2
-               for m in (E.v_total(), _v_adjoint(E)))
+    cut = 8 * rep0.shape[-1] * np.finfo(float).eps
+    for m in (rep0, rep1):
+        square = np.linalg.norm(m @ m, axis=(-2, -1))
+        if not (square <= cut * np.linalg.norm(m, axis=(-2, -1)) ** 2).all():
+            return False
+    k = rep0 @ rep1 + rep1 @ rep0
+    return bool(k[..., ~np.eye(k.shape[-1], dtype=bool)].any())
 
 
 def torsion_form(E: MetricComplex, quad: QuadratureSpec = QuadratureSpec()) -> TorsionFormResult:
@@ -399,7 +409,7 @@ def torsion_form(E: MetricComplex, quad: QuadratureSpec = QuadratureSpec()) -> T
         zero = FormElement(alg)
         return TorsionFormResult(zero, 0.0, 0.0, d_E, d_H, betti)
 
-    supertrace = _number_supertrace(E)
+    supertrace, linear = _number_supertrace(E)
     # the degree-0 coefficient: one value, or one per grid point
     degree0 = slice(0, alg.grid_size if isinstance(alg, CircleBase) else 1)
 
@@ -421,14 +431,15 @@ def torsion_form(E: MetricComplex, quad: QuadratureSpec = QuadratureSpec()) -> T
     #
     # The windows halve in u, so a panel of one window has the nodes of a
     # panel of the window before, halved exactly: 4x the t.  Where
-    # X_t^2 = t K, e^{X^2} there is that panel's e^{X^2} to the fourth
-    # power, two squarings instead of a Pade evaluation.  ``last`` holds
-    # the previous window's e^{X^2} by panel nodes, ``seen`` the current's.
-    linear = _square_is_linear(E)
+    # X_t^2 = t K in every slice, grid points included (``linear``, from
+    # X_t's even representation), e^{X^2} there is that panel's e^{X^2}
+    # to the fourth power, two squarings instead of a Pade evaluation.
+    # ``last`` holds the previous window's e^{X^2} by panel nodes until
+    # they are used, ``seen`` the current's.
     last, seen = {}, {}
 
     def tail_exp(u, msq):
-        prior = last.get((2.0 * u).tobytes())
+        prior = last.pop((2.0 * u).tobytes(), None)
         if prior is None:
             e = matrix_function(msq, "exp")
         else:

@@ -79,22 +79,29 @@ def adaptive_quad(fn, a: float, b: float, spec: QuadratureSpec = QuadratureSpec(
     Bisects panels until each panel's Gauss-Kronrod error estimate is
     below its share of the requested absolute tolerance, or the panel is
     ``max_levels`` bisections deep.  Returns ``(value, error_estimate)``.
-    Raises ``QuadratureError`` at once on a panel whose value or error
-    estimate is not finite.
+    Raises ``QuadratureError`` at once on a panel whose integrand values,
+    value or error estimate are not finite.  Holds no reference to ``fn``
+    once it returns.
     """
+    return _bisect(fn, a, b, spec.tolerance, 0, spec.max_levels)
 
-    def recurse(a, b, tol, level):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        vals = np.asarray(fn(mid + half * NODES))
-        value = half * (KRONROD_WEIGHTS @ vals)
-        err = float(np.max(np.abs(half * ((KRONROD_WEIGHTS - GAUSS_WEIGHTS) @ vals))))
-        if not (np.isfinite(err) and np.all(np.isfinite(value))):
-            raise QuadratureError(
-                f"non-finite integrand on the panel [{a:.6g}, {b:.6g}]")
-        if err < tol or level >= spec.max_levels:
-            return value, err
-        lval, lerr = recurse(a, mid, 0.5 * tol, level + 1)
-        rval, rerr = recurse(mid, b, 0.5 * tol, level + 1)
-        return lval + rval, lerr + rerr
 
-    return recurse(a, b, spec.tolerance, 0)
+def _bisect(fn, a, b, tol, level, max_levels):
+    """One panel of ``adaptive_quad``, and its halves while its error
+    estimate is not below ``tol``.  A module-level function rather than a
+    nested one: a closure that calls itself is a reference cycle, which
+    would keep ``fn`` alive until the next cyclic garbage collection."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    vals = np.asarray(fn(mid + half * NODES))
+    if not np.isfinite(vals).all():
+        raise QuadratureError(f"non-finite integrand on the panel [{a:.6g}, {b:.6g}]")
+    value = half * (KRONROD_WEIGHTS @ vals)
+    err = float(np.max(np.abs(half * ((KRONROD_WEIGHTS - GAUSS_WEIGHTS) @ vals))))
+    if not (np.isfinite(err) and np.all(np.isfinite(value))):
+        raise QuadratureError(
+            f"non-finite value or error estimate on the panel [{a:.6g}, {b:.6g}]")
+    if err < tol or level >= max_levels:
+        return value, err
+    lval, lerr = _bisect(fn, a, mid, 0.5 * tol, level + 1, max_levels)
+    rval, rerr = _bisect(fn, mid, b, 0.5 * tol, level + 1, max_levels)
+    return lval + rval, lerr + rerr

@@ -21,7 +21,6 @@ from torsionlab.complexes import (
     ComplexDataError,
     MetricComplex,
     _number_supertrace,
-    _square_is_linear,
     char_form,
     complex_from_json,
     complex_to_json,
@@ -244,7 +243,7 @@ class TestTorsionForm:
         if case in ("point_3", "point_4t3"):  # parts of degree 2
             assert np.abs(full[:, ~odd][:, 1:]).max() > 1e-3
         assert not full[:, odd].any()
-        truncated = _number_supertrace(E)(ts)
+        truncated = _number_supertrace(E)[0](ts)
         assert not truncated[:, odd].any()
         np.testing.assert_allclose(truncated[:, ~odd], full[:, ~odd], rtol=0, atol=1e-13)
 
@@ -302,10 +301,15 @@ def graded_one_form_complex(case):
     return MetricComplex(E.dims, E.v, E.h, base=alg, omega_data=w)
 
 
+def reuses_tail(E):
+    """Whether ``torsion_form(E)`` reuses e^{X_t^2} across tail windows."""
+    return _number_supertrace(E)[1]
+
+
 def fresh_torsion_form(E, monkeypatch):
     """Reference: ``torsion_form`` with every e^{X_t^2} evaluated afresh."""
     with monkeypatch.context() as m:
-        m.setattr(complexes, "_square_is_linear", lambda E: False)
+        m.setattr(complexes, "_square_is_linear", lambda rep0, rep1: False)
         return torsion_form(E)
 
 
@@ -335,14 +339,17 @@ def count_exp_slices(E, monkeypatch):
 class TestDyadicTailReuse:
     def test_matches_eigen_route_and_fresh_evaluation(self, monkeypatch):
         rng = np.random.default_rng(41)
+        reused = 0
         for i in range(50):
             E = random_complex_instance(rng, length=1 + i % 4, max_dim=5)
-            assert _square_is_linear(E)
+            # the other 11 have a diagonal K, so a diagonal X_t^2
+            reused += reuses_tail(E)
             res = torsion_form(E)
             assert res.degree0 == pytest.approx(scalar_torsion_eigen(E), abs=1e-11)
             np.testing.assert_allclose(res.element.to_vector(),
                                        fresh_torsion_form(E, monkeypatch).element.to_vector(),
                                        rtol=0, atol=1e-12)
+        assert reused == 39
 
     def test_point_base_reuses_tail_exponentials(self, monkeypatch):
         rng = np.random.default_rng(42)
@@ -350,31 +357,69 @@ class TestDyadicTailReuse:
         counts = count_exp_slices(E, monkeypatch)
         assert 0 < counts["slices"] < counts["tail"]
         with monkeypatch.context() as m:
-            m.setattr(complexes, "_square_is_linear", lambda E: False)
+            m.setattr(complexes, "_square_is_linear", lambda rep0, rep1: False)
             fresh = count_exp_slices(E, monkeypatch)
         assert fresh["slices"] == fresh["lower"] + fresh["tail"]
         assert (fresh["lower"], fresh["tail"]) == (counts["lower"], counts["tail"])
 
     @pytest.mark.parametrize("case", ["circle_r2", "point_1"])
-    def test_circle_and_omega_data_evaluate_every_node(self, case, monkeypatch):
+    def test_reuses_where_omega_leaves_the_even_block(self, case, monkeypatch):
+        # the even representation of a circle, or of FormalPoint(1), is the
+        # degree-0 block (t v* - v)/2, at each grid point on a circle
         E = graded_one_form_complex(case)
-        assert not _square_is_linear(E)
+        assert reuses_tail(E)
         counts = count_exp_slices(E, monkeypatch)
         grid = E.base.grid_size if isinstance(E.base, CircleBase) else 1
-        assert counts["slices"] == grid * (counts["lower"] + counts["tail"])
+        assert 0 < counts["slices"] < grid * (counts["lower"] + counts["tail"])
+        with monkeypatch.context() as m:
+            m.setattr(complexes, "_square_is_linear", lambda rep0, rep1: False)
+            fresh = count_exp_slices(E, monkeypatch)
+        assert fresh["slices"] == grid * (fresh["lower"] + fresh["tail"])
+        assert (fresh["lower"], fresh["tail"]) == (counts["lower"], counts["tail"])
+
+    def test_omega_data_in_the_even_block_evaluates_every_node(self, monkeypatch):
+        # on FormalPoint(2) the degree-2 keys are kept, and omega^2 enters X_t^2
+        E = graded_one_form_complex("point_2")
+        assert not reuses_tail(E)
+        counts = count_exp_slices(E, monkeypatch)
+        assert counts["slices"] == counts["lower"] + counts["tail"]
+
+    @pytest.mark.parametrize("grid", [32, 64])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_circle_matches_fresh_evaluation_and_each_fiber(self, rank, grid, monkeypatch):
+        rng = np.random.default_rng(46 + rank)
+        E = random_circle_two_term(rng, grid=grid, rank=rank)
+        assert reuses_tail(E) == (rank > 1)
+        res = torsion_form(E)
+        np.testing.assert_allclose(res.element.to_vector(),
+                                   fresh_torsion_form(E, monkeypatch).element.to_vector(),
+                                   rtol=0, atol=1e-12)
+        for j in range(grid):
+            fiber = two_term(E.v[0], E.h[0][j], E.h[1][j])
+            assert res.degree0[j] == pytest.approx(scalar_torsion_eigen(fiber), abs=1e-11)
+
+    def test_rank_one_circle_makes_no_squarings(self, monkeypatch):
+        # K is diagonal: every X_t^2 is, and _expm takes it entry by entry
+        E = graded_one_form_complex("circle_r1")
+        assert not reuses_tail(E)
+        counts = count_exp_slices(E, monkeypatch)
+        assert counts["slices"] == E.base.grid_size * (counts["lower"] + counts["tail"])
 
     def test_rounding_scale_v_squared_takes_the_fresh_path(self, monkeypatch):
-        # v^2 of about 1e-12 scale^2: validate() admits it, the reuse does not
+        # v^2 of about 1e-12 scale^2: validate() admits it, the reuse does
+        # not, on a point base and at every grid point of a circle
         rng = np.random.default_rng(43)
         u = random_unitary(rng, 2)
         v0 = u @ np.array([[1.0], [0.0]])
         v1 = np.array([[1e-12, 1.5]]) @ u.conj().T
-        E = MetricComplex([1, 2, 1], [v0, v1], [random_metric(rng, d) for d in (1, 2, 1)])
+        h = [random_metric(rng, d) for d in (1, 2, 1)]
         assert 1e-14 < np.linalg.norm(v1 @ v0) / 1.5**2 < 1e-10
-        E.validate()
-        assert not _square_is_linear(E)
-        counts = count_exp_slices(E, monkeypatch)
-        assert counts["slices"] == counts["lower"] + counts["tail"]
+        for base, grid in ((None, 1), (CircleBase(32), 32)):
+            E = MetricComplex([1, 2, 1], [v0, v1], h, base=base)
+            E.validate()
+            assert not reuses_tail(E)
+            counts = count_exp_slices(E, monkeypatch)
+            assert counts["slices"] == grid * (counts["lower"] + counts["tail"])
 
     @pytest.mark.parametrize("k", range(4))
     def test_near_degenerate_two_term(self, k, monkeypatch):
@@ -382,7 +427,7 @@ class TestDyadicTailReuse:
         rng = np.random.default_rng(44)
         tau = random_unitary(rng, 2) @ np.diag([1.0, 10.0 ** -k]) @ random_unitary(rng, 2)
         E = two_term(tau)
-        assert _square_is_linear(E)
+        assert reuses_tail(E)
         exact = scalar_torsion_eigen(E)
         assert torsion_form(E).degree0 == pytest.approx(exact, abs=1e-10)
         assert fresh_torsion_form(E, monkeypatch).degree0 == pytest.approx(exact, abs=1e-10)

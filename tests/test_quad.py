@@ -1,6 +1,8 @@
 """Tests for the Gauss-Kronrod quadrature driver and the batched heat route."""
 
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -86,6 +88,23 @@ class TestAdaptiveQuad:
             adaptive_quad(fn, 0.0, 1.0)
         assert time.perf_counter() - start < 1.0
         assert len(calls) == 1
+
+    def test_integrand_is_freed_on_return(self):
+        # no reference cycle holds the integrand (and what it closes over)
+        # until the next cyclic garbage collection
+        def fn(x):
+            return np.abs(x - 0.3)
+
+        ref = weakref.ref(fn)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            adaptive_quad(fn, 0.0, 1.0, QuadratureSpec(max_levels=4))
+            del fn
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def test_quadrature_error_exits_3(tmp_path, monkeypatch, capsys):
