@@ -370,9 +370,6 @@ class FormMatrix:
             raise AlgebraError("size mismatch in matrix sum")
         return self._like(self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "FormMatrix") -> "FormMatrix":
-        return self + (other * (-1.0))
-
     def __mul__(self, c) -> "FormMatrix":
         return self._like(self.coeffs * c)
 

@@ -42,6 +42,7 @@ from .morse import (
     psi_maps,
     split_circle_data,
     three_column_double,
+    z2_split,
 )
 from .spectral import page_torsion, pages, three_column_les
 
@@ -300,11 +301,9 @@ def verify_morse_side(s: GluingScenario, tolerance: float = 1e-9,
 
     # generator rows rel -> full -> abs are exact (and split: partition)
     row_defect = 0
+    rows = D.transpose()
     for q in range(D.Q):
-        row = MetricComplex([D.dim(0, q), D.dim(1, q), D.dim(2, q)],
-                            [D.hv_at(0, q), D.hv_at(1, q)],
-                            [np.eye(D.dim(p, q), dtype=complex) for p in range(3)])
-        row_defect = max(row_defect, *row.betti())
+        row_defect = max(row_defect, *rows.column_complex(q).betti())
 
     # page-zero torsion as the alternating sum of column torsions
     t_cols = [scalar_torsion_eigen(c) for c in cols]
@@ -363,7 +362,6 @@ def verify_double_formula(s: GluingScenario, analytic_tolerance: float = 1e-7,
     transports = (np.eye(r, dtype=complex),
                   s.holonomy if s.kind == "circle" else np.eye(r, dtype=complex))
     C = doubled_complex(double(arc_data(transports, rank=r)))
-    from .morse import z2_split
     plus, minus, _, _ = z2_split(C)
     t_plus = scalar_torsion_eigen(plus)
     t_minus = scalar_torsion_eigen(minus)

@@ -152,45 +152,42 @@ class DoubleComplexData:
         return MetricComplex(dims, v, h, grading_offset=grading_offset)
 
 
+def _graded_sum(dims: dict, maps, metrics=None, degree=sum) -> MetricComplex:
+    """Graded direct sum of spaces keyed by position.
+
+    ``dims[key]`` is the dimension of the space at ``key``, which sits in
+    degree ``degree(key)``; within a degree the spaces lie in the
+    insertion order of ``dims``.  Each ``(src, dst, matrix)`` in ``maps``
+    fills the differential block from src to dst, and dst must sit one
+    degree above src.  The metric is block diagonal:
+    ``metrics[key]``, or the identity where none is given.
+    """
+    sizes = [0] * (max(map(degree, dims), default=0) + 1)
+    place = {}
+    for key, d in dims.items():
+        n = degree(key)
+        place[key] = (n, slice(sizes[n], sizes[n] + d))
+        sizes[n] += d
+    v = [_zeros(sizes[n + 1], sizes[n]) for n in range(len(sizes) - 1)]
+    for src, dst, m in maps:
+        n, cols = place[src]
+        v[n][place[dst][1], cols] = m
+    h = [np.eye(d, dtype=complex) for d in sizes]
+    for key, m in (metrics or {}).items():
+        if key in place:
+            n, sl = place[key]
+            h[n][sl, sl] = m
+    return MetricComplex(sizes, v, h)
+
+
 def total_complex(D: DoubleComplexData) -> MetricComplex:
     """Direct-sum complex over the total degree, differential dv + hv."""
     D.validate()
-    nmax = D.P + D.Q - 2
-    dims, offsets = [], {}
-    for n in range(nmax + 1):
-        total = 0
-        for p in range(D.P):
-            q = n - p
-            if 0 <= q < D.Q:
-                offsets[(p, q)] = (n, total)
-                total += D.dim(p, q)
-        dims.append(total)
-    v = []
-    for n in range(nmax):
-        blk = _zeros(dims[n + 1], dims[n])
-        for p in range(D.P):
-            q = n - p
-            if not (0 <= q < D.Q) or D.dim(p, q) == 0:
-                continue
-            _, src = offsets[(p, q)]
-            s_src = slice(src, src + D.dim(p, q))
-            if D.dim(p, q + 1):
-                _, dst = offsets[(p, q + 1)]
-                blk[dst:dst + D.dim(p, q + 1), s_src] += D.dv_at(p, q)
-            if D.dim(p + 1, q):
-                _, dst = offsets[(p + 1, q)]
-                blk[dst:dst + D.dim(p + 1, q), s_src] += D.hv_at(p, q)
-        v.append(blk)
-    h = []
-    for n in range(nmax + 1):
-        blk = _zeros(dims[n], dims[n])
-        for p in range(D.P):
-            q = n - p
-            if 0 <= q < D.Q and D.dim(p, q):
-                _, off = offsets[(p, q)]
-                blk[off:off + D.dim(p, q), off:off + D.dim(p, q)] = D.h_at(p, q)
-        h.append(blk)
-    return MetricComplex(dims, v, h)
+    dims = {(p, n - p): D.dim(p, n - p)
+            for n in range(D.P + D.Q - 1) for p in range(D.P) if 0 <= n - p < D.Q}
+    maps = [((p, q), (p, q + 1), D.dv_at(p, q)) for p, q in dims if q + 1 < D.Q]
+    maps += [((p, q), (p + 1, q), D.hv_at(p, q)) for p, q in dims if p + 1 < D.P]
+    return _graded_sum(dims, maps, D.h)
 
 
 # ---- spectral pages -----------------------------------------------------
@@ -388,42 +385,24 @@ def pages(D: DoubleComplexData, filtration: str = "columns", r_max: int | None =
 
 def page_to_complex(page: SpectralPage) -> MetricComplex:
     """Assemble a page into one graded complex over the total degree."""
-    keys = sorted(page.spaces.keys())
-    if not keys:
-        return MetricComplex([0], [], [np.zeros((0, 0))])
-    nmax = max(p + q for p, q in keys)
-    layout, dims = {}, []
-    for n in range(nmax + 1):
-        total = 0
-        for p, q in keys:
-            if p + q == n and page.dim(p, q):
-                layout[(p, q)] = (n, total)
-                total += page.dim(p, q)
-        dims.append(total)
-    v = []
-    for n in range(nmax):
-        blk = _zeros(dims[n + 1], dims[n])
-        for (p, q), mat in page.d.items():
-            if p + q != n or (p, q) not in layout:
-                continue
-            tgt = (p + page.r, q - page.r + 1)
-            if tgt not in layout:
-                continue
-            _, src_off = layout[(p, q)]
-            _, dst_off = layout[tgt]
-            blk[dst_off:dst_off + mat.shape[0], src_off:src_off + mat.shape[1]] = mat
-        v.append(blk)
-    h = [np.eye(d, dtype=complex) for d in dims]
-    return MetricComplex(dims, v, h)
+    dims = {key: page.dim(*key) for key in sorted(page.spaces)}
+    maps = [((p, q), (p + page.r, q - page.r + 1), m) for (p, q), m in page.d.items()]
+    return _graded_sum(dims, maps)
+
+
+def _degree0_torsion(E: MetricComplex, method: str, quad: QuadratureSpec) -> float:
+    """Degree-zero torsion of E by the eigenvalue or the quadrature route."""
+    if method == "eigen":
+        return scalar_torsion_eigen(E)
+    if method == "quadrature":
+        return torsion_form(E, quad).degree0
+    raise ValueError(f"unknown method {method!r}: expected 'eigen' or 'quadrature'")
 
 
 def page_torsion(page: SpectralPage, quad: QuadratureSpec = QuadratureSpec(),
-                 method: str = "quadrature"):
-    """Torsion of one page, via the integral or the eigenvalue route."""
-    mc = page_to_complex(page)
-    if method == "eigen":
-        return scalar_torsion_eigen(mc)
-    return torsion_form(mc, quad)
+                 method: str = "quadrature") -> float:
+    """Degree-zero torsion of one page, via the integral or the eigenvalue route."""
+    return _degree0_torsion(page_to_complex(page), method, quad)
 
 
 def page_decomposition_residual(D: DoubleComplexData, method: str = "eigen",
@@ -439,14 +418,8 @@ def page_decomposition_residual(D: DoubleComplexData, method: str = "eigen",
     if any(total.betti()):
         raise DoubleComplexError("total complex is not acyclic; decomposition "
                                  "requires a vanishing limit page")
-    if method == "eigen":
-        t_total = scalar_torsion_eigen(total)
-    else:
-        t_total = torsion_form(total, quad).degree0
-    t_pages = 0.0
-    for page in pages(D, filtration):
-        val = page_torsion(page, quad, method)
-        t_pages += val if method == "eigen" else val.degree0
+    t_total = _degree0_torsion(total, method, quad)
+    t_pages = sum(page_torsion(page, quad, method) for page in pages(D, filtration))
     return abs(t_total - t_pages)
 
 
@@ -500,23 +473,15 @@ class ThreeColumnData:
 
     def torsion_e1(self, method: str = "eigen",
                    quad: QuadratureSpec = QuadratureSpec()) -> float:
-        out = 0.0
-        for row in self.row_complexes:
-            out += scalar_torsion_eigen(row) if method == "eigen" \
-                else torsion_form(row, quad).degree0
-        return out
+        return sum((_degree0_torsion(row, method, quad) for row in self.row_complexes), 0.0)
 
     def torsion_e2(self, method: str = "eigen",
                    quad: QuadratureSpec = QuadratureSpec()) -> float:
-        if method == "eigen":
-            return scalar_torsion_eigen(self.e2_complex)
-        return torsion_form(self.e2_complex, quad).degree0
+        return _degree0_torsion(self.e2_complex, method, quad)
 
     def torsion_les(self, method: str = "eigen",
                     quad: QuadratureSpec = QuadratureSpec()) -> float:
-        if method == "eigen":
-            return scalar_torsion_eigen(self.les)
-        return torsion_form(self.les, quad).degree0
+        return _degree0_torsion(self.les, method, quad)
 
 
 def three_column_les(D: DoubleComplexData, grams=None, class_reps=None) -> ThreeColumnData:
@@ -577,21 +542,12 @@ def three_column_les(D: DoubleComplexData, grams=None, class_reps=None) -> Three
         h = [np.asarray(grams[p][q], dtype=complex) for p in range(3)]
         rows.append(MetricComplex(dims, v, h, grading_offset=q))
 
-    # --- long exact sequence, grading 3p (col0) / 3p+1 (col1) / 3p+2 (col2)
-    les_dims, les_v, les_h = [], [], []
-    for q in range(Q):
-        for p_in_order, p_col in ((0, 0), (1, 1), (2, 2)):
-            les_dims.append(class_reps[p_col][q].shape[1])
-            les_h.append(np.asarray(grams[p_col][q], dtype=complex))
-    for j in range(len(les_dims) - 1):
-        q, slot = divmod(j, 3)
-        if slot == 0:
-            les_v.append(d1[(0, q)])
-        elif slot == 1:
-            les_v.append(d1[(1, q)])
-        else:
-            les_v.append(delta[q])
-    les = MetricComplex(les_dims, les_v, les_h)
+    # --- long exact sequence, grading 3q (col0) / 3q+1 (col1) / 3q+2 (col2)
+    keys = [(p, q) for q in range(Q) for p in range(3)]
+    maps = [((p, q), (p + 1, q), d1[(p, q)]) for p, q in keys if p < 2]
+    maps += [((2, q), (0, q + 1), delta[q]) for q in range(Q - 1)]
+    les = _graded_sum({(p, q): class_reps[p][q].shape[1] for p, q in keys}, maps,
+                      {(p, q): grams[p][q] for p, q in keys}, lambda k: 3 * k[1] + k[0])
 
     # --- second page: cohomology of the rows with the connecting map -----
     # spaces: per q the row cohomology with metric induced by the row Gram
@@ -600,16 +556,8 @@ def three_column_les(D: DoubleComplexData, grams=None, class_reps=None) -> Three
         reps = cohomology_class_basis(rows[q])
         e2_reps.append(reps)
         e2_grams.append(induced_gram(rows[q], reps))
-    # assemble over the total degree n: (0,q) at n=q, (1,q) at n=q+1, (2,q) at n=q+2
-    nmax = Q + 1
-    layout, dims = {}, [0] * (nmax + 1)
-    for q in range(Q):
-        for p in range(3):
-            n = q + p
-            layout[(p, q)] = (n, dims[n])
-            dims[n] += e2_reps[q][p].shape[1]
-    v = [_zeros(dims[n + 1], dims[n]) for n in range(nmax)]
     # the only differential on this page: (0, q) -> (2, q - 1)
+    maps = []
     for q in range(1, Q):
         src_reps = e2_reps[q][0]       # classes in H^q(col0) coordinates
         dst_reps = e2_reps[q - 1][2]   # classes in H^{q-1}(col2) coordinates
@@ -626,22 +574,9 @@ def three_column_les(D: DoubleComplexData, grams=None, class_reps=None) -> Three
             # express in the row-cohomology basis modulo the row image
             row_img = d1[(1, q - 1)]
             blocks.append(_class_coords(dst_reps, row_img, cls))
-        mat = np.concatenate(blocks, axis=1)
-        n, src_off = layout[(0, q)]
-        _, dst_off = layout[(2, q - 1)]
-        v[n][dst_off:dst_off + mat.shape[0], src_off:src_off + mat.shape[1]] = mat
-    h = []
-    for n in range(nmax + 1):
-        blk = _zeros(dims[n], dims[n])
-        for (p, q), (nn, off) in layout.items():
-            if nn != n:
-                continue
-            r = e2_reps[q][p]
-            if r.shape[1] == 0:
-                continue
-            blk[off:off + r.shape[1], off:off + r.shape[1]] = \
-                np.asarray(e2_grams[q][p], dtype=complex)
-        h.append(blk)
-    e2 = MetricComplex(dims, v, h)
+        maps.append(((0, q), (2, q - 1), np.concatenate(blocks, axis=1)))
+    # graded by the total degree p + q, ordered by q within a degree
+    e2 = _graded_sum({(p, q): e2_reps[q][p].shape[1] for p, q in keys}, maps,
+                     {(p, q): e2_grams[q][p] for p, q in keys})
 
     return ThreeColumnData(rows, e2, les, class_reps)

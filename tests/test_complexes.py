@@ -39,7 +39,6 @@ from torsionlab.instances import (
     random_complex_instance,
     random_invertible,
     random_metric,
-    random_two_term,
     random_unitary,
 )
 from torsionlab.quad import QuadratureError, QuadratureSpec, adaptive_quad

@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
-from torsionlab.complexes import MetricComplex, NonFiniteDataError, torsion_form
+from torsionlab import spectral
+from torsionlab.complexes import MetricComplex, NonFiniteDataError
 from torsionlab.hodge import scalar_torsion_eigen
 from torsionlab.instances import (
     random_exact_row_double_complex,
     random_exact_sequence,
     random_invertible,
 )
+from torsionlab.morse import split_circle_data, three_column_double
 from torsionlab.spectral import (
     DoubleComplexData,
     DoubleComplexError,
+    SpectralPage,
     compose,
     page_decomposition_residual,
     page_to_complex,
@@ -287,3 +290,190 @@ class TestThreeColumn:
         D = DoubleComplexData([[1], [1]])
         with pytest.raises(ValueError):
             three_column_les(D)
+
+
+@pytest.mark.parametrize("route", ["page_torsion", "page_decomposition_residual",
+                                   "torsion_e1", "torsion_e2", "torsion_les"])
+def test_unknown_method_rejected(route):
+    D = small_double(np.random.default_rng(24), n_rows=2, max_dim=2)
+    data = three_column_les(D)
+    call = {"page_torsion": lambda m: page_torsion(pages(D, r_max=0)[0], method=m),
+            "page_decomposition_residual": lambda m: page_decomposition_residual(D, method=m),
+            "torsion_e1": lambda m: data.torsion_e1(method=m),
+            "torsion_e2": lambda m: data.torsion_e2(method=m),
+            "torsion_les": lambda m: data.torsion_les(method=m)}[route]
+    with pytest.raises(ValueError, match="unknown method 'quadratur'"):
+        call("quadratur")
+
+
+# ---- the layout loops that ``_graded_sum`` replaced, kept as references ---
+
+
+def _zeros(rows, cols):
+    return np.zeros((rows, cols), dtype=complex)
+
+
+def total_complex_loop(D):
+    nmax = D.P + D.Q - 2
+    dims, offsets = [], {}
+    for n in range(nmax + 1):
+        total = 0
+        for p in range(D.P):
+            q = n - p
+            if 0 <= q < D.Q:
+                offsets[(p, q)] = (n, total)
+                total += D.dim(p, q)
+        dims.append(total)
+    v = []
+    for n in range(nmax):
+        blk = _zeros(dims[n + 1], dims[n])
+        for p in range(D.P):
+            q = n - p
+            if not (0 <= q < D.Q) or D.dim(p, q) == 0:
+                continue
+            _, src = offsets[(p, q)]
+            s_src = slice(src, src + D.dim(p, q))
+            if D.dim(p, q + 1):
+                _, dst = offsets[(p, q + 1)]
+                blk[dst:dst + D.dim(p, q + 1), s_src] += D.dv_at(p, q)
+            if D.dim(p + 1, q):
+                _, dst = offsets[(p + 1, q)]
+                blk[dst:dst + D.dim(p + 1, q), s_src] += D.hv_at(p, q)
+        v.append(blk)
+    h = []
+    for n in range(nmax + 1):
+        blk = _zeros(dims[n], dims[n])
+        for p in range(D.P):
+            q = n - p
+            if 0 <= q < D.Q and D.dim(p, q):
+                _, off = offsets[(p, q)]
+                blk[off:off + D.dim(p, q), off:off + D.dim(p, q)] = D.h_at(p, q)
+        h.append(blk)
+    return MetricComplex(dims, v, h)
+
+
+def page_loop(page):
+    keys = sorted(page.spaces.keys())
+    if not keys:
+        return MetricComplex([0], [], [np.zeros((0, 0))])
+    nmax = max(p + q for p, q in keys)
+    layout, dims = {}, []
+    for n in range(nmax + 1):
+        total = 0
+        for p, q in keys:
+            if p + q == n and page.dim(p, q):
+                layout[(p, q)] = (n, total)
+                total += page.dim(p, q)
+        dims.append(total)
+    v = []
+    for n in range(nmax):
+        blk = _zeros(dims[n + 1], dims[n])
+        for (p, q), mat in page.d.items():
+            if p + q != n or (p, q) not in layout:
+                continue
+            tgt = (p + page.r, q - page.r + 1)
+            if tgt not in layout:
+                continue
+            _, src_off = layout[(p, q)]
+            _, dst_off = layout[tgt]
+            blk[dst_off:dst_off + mat.shape[0], src_off:src_off + mat.shape[1]] = mat
+        v.append(blk)
+    h = [np.eye(d, dtype=complex) for d in dims]
+    return MetricComplex(dims, v, h)
+
+
+def les_loop(Q, dims, d1, delta, grams):
+    """``dims``, ``grams`` keyed by (column, row); ``d1`` by its source."""
+    les_dims, les_v, les_h = [], [], []
+    for q in range(Q):
+        for p in range(3):
+            les_dims.append(dims[(p, q)])
+            les_h.append(np.asarray(grams[(p, q)], dtype=complex))
+    for j in range(len(les_dims) - 1):
+        q, slot = divmod(j, 3)
+        les_v.append(d1[(slot, q)] if slot < 2 else delta[q])
+    return MetricComplex(les_dims, les_v, les_h)
+
+
+def e2_loop(Q, dims, d2, grams):
+    """``d2[q]`` maps (0, q) to (2, q - 1) where it is nonzero."""
+    nmax = Q + 1
+    layout, sizes = {}, [0] * (nmax + 1)
+    for q in range(Q):
+        for p in range(3):
+            n = q + p
+            layout[(p, q)] = (n, sizes[n])
+            sizes[n] += dims[(p, q)]
+    v = [_zeros(sizes[n + 1], sizes[n]) for n in range(nmax)]
+    for q, mat in d2.items():
+        n, src_off = layout[(0, q)]
+        _, dst_off = layout[(2, q - 1)]
+        v[n][dst_off:dst_off + mat.shape[0], src_off:src_off + mat.shape[1]] = mat
+    h = []
+    for n in range(nmax + 1):
+        blk = _zeros(sizes[n], sizes[n])
+        for (p, q), (nn, off) in layout.items():
+            d = dims[(p, q)]
+            if nn == n and d:
+                blk[off:off + d, off:off + d] = np.asarray(grams[(p, q)], dtype=complex)
+        h.append(blk)
+    return MetricComplex(sizes, v, h)
+
+
+def assert_same(got, want, zero_signs=True):
+    """Equal dims, offset and blocks; with ``zero_signs`` equal bytes too.
+
+    The old total-complex loop added each block into zeros, which turns
+    a stored -0.0 into +0.0; ``_graded_sum`` places the block as stored.
+    """
+    assert got.dims == want.dims and got.grading_offset == want.grading_offset
+    assert len(got.v) == len(want.v) and len(got.h) == len(want.h)
+    for a, b in zip(got.v + got.h, want.v + want.h):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert not zero_signs or a.tobytes() == b.tobytes()
+
+
+class TestGradedSum:
+    def doubles(self):
+        rng = np.random.default_rng(25)
+        for i in range(24):
+            yield small_double(rng, n_rows=1 + i % 4, max_dim=1 + i % 3,
+                               identity_metric=bool(i % 2))
+        for rank in (1, 2, 3):
+            yield three_column_double(split_circle_data(random_invertible(rng, rank)))
+
+    def test_total_complex_matches_the_loop(self):
+        for D in self.doubles():
+            for X in (D, D.transpose()):
+                assert_same(total_complex(X), total_complex_loop(X), zero_signs=False)
+
+    def test_pages_match_the_loop(self):
+        for D in self.doubles():
+            for filtration in ("columns", "rows"):
+                for page in pages(D, filtration):
+                    assert_same(page_to_complex(page), page_loop(page))
+
+    def test_empty_page(self):
+        page = SpectralPage(0, "columns", {}, {})
+        assert_same(page_to_complex(page), page_loop(page))
+        assert page_to_complex(page).dims == [0]
+
+    def test_les_and_e2_match_the_loops(self, monkeypatch):
+        calls, graded_sum = [], spectral._graded_sum
+
+        def record(dims, maps, metrics=None, degree=sum):
+            calls.append((dims, {(s, d): m for s, d, m in maps}, metrics))
+            return graded_sum(dims, maps, metrics, degree)
+
+        monkeypatch.setattr(spectral, "_graded_sum", record)
+        for D in self.doubles():
+            calls.clear()
+            data = three_column_les(D)
+            (dims, maps, grams), (e2_dims, e2_maps, e2_grams) = calls
+            d1 = {s: m for (s, d), m in maps.items() if d == (s[0] + 1, s[1])}
+            delta = {s[1]: m for (s, d), m in maps.items() if s[0] == 2}
+            assert len(d1) == 2 * D.Q and len(delta) == D.Q - 1
+            assert_same(data.les, les_loop(D.Q, dims, d1, delta, grams))
+            d2 = {s[1]: m for (s, d), m in e2_maps.items()}
+            assert all(d == (2, s[1] - 1) for s, d in e2_maps)
+            assert_same(data.e2_complex, e2_loop(D.Q, e2_dims, d2, e2_grams))
