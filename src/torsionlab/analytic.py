@@ -23,14 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import _mat_from_json, _mat_to_json, check_finite
-from .quad import QuadratureSpec, adaptive_quad
+from .quad import QuadratureSpec, adaptive_quad, dyadic_tail
 
 __all__ = [
     "ModelGeometry",
     "QuadraticFamily",
     "SpectrumData",
     "GeometryError",
-    "PrecisionError",
     "spectrum",
     "doubled_spectrum",
     "family_log_det",
@@ -50,10 +49,6 @@ _TWO_PI = 2.0 * np.pi
 
 class GeometryError(ValueError):
     """Invalid model geometry."""
-
-
-class PrecisionError(RuntimeError):
-    """Requested accuracy could not be certified."""
 
 
 @dataclass
@@ -261,9 +256,10 @@ def torsion_via_heat_integral(g: ModelGeometry,
     Integrates -[h(t) - chi'/2 - (chi/4 - chi'/2)(1 - t/2)e^{-t/4}]/t
     (chi and chi' are rank-weighted cohomology counts) over
     (0, infinity); the integrand extends continuously to t = 0 and
-    decays exponentially, so the upper range is summed over dyadic
-    windows until, past the decay time of the slowest mode, a window
-    falls below the tolerance.
+    decays exponentially.  The t > 1 half is ``quad.dyadic_tail``,
+    doubling t per window and settling no earlier than the decay time
+    1/lam_min of the slowest mode; a tail still above a tenth of the
+    tolerance after 60 windows raises ``QuadratureError``.
     """
     chi, chi_prime = euler_characteristics(g)
     s = spectrum(g)
@@ -277,24 +273,14 @@ def torsion_via_heat_integral(g: ModelGeometry,
 
     # the integrand tends to a nonzero constant as t -> 0; the Kronrod
     # nodes are interior, so t = 0 itself is never evaluated
-    lower, err = adaptive_quad(integrand, 0.0, 1.0, quad)
-    total = lower
-    hi = 1.0
-    cut = 0.1 * quad.tolerance
+    lower, _ = adaptive_quad(integrand, 0.0, 1.0, quad)
     # The slowest mode decays like exp(-lam_min t).  Before t = 1/lam_min a
     # window can be small only because the heat trace still follows its
-    # small-time counterterm, so the stopping test waits until then.
+    # small-time counterterm, so the stopping test waits until then (windows
+    # start at powers of two t, where t >= 1/lam_min iff t * lam_min >= 1).
     lam_min = min((f.c * f.a) ** 2 for fams in s.families for f in fams)
-    for _ in range(60):
-        window, werr = adaptive_quad(integrand, hi, 2.0 * hi, quad)
-        total += window
-        err += werr
-        if hi * lam_min >= 1.0 and abs(window) < cut:
-            break
-        hi *= 2.0
-    else:
-        raise PrecisionError("heat integral tail did not fall below tolerance")
-    return float(total)
+    upper, _ = dyadic_tail(integrand, 1.0, 2.0, quad, 60, settle=1.0 / lam_min)
+    return float(lower + upper)
 
 
 def equivariant_scalar_torsion(g: ModelGeometry, element: str = "identity",

@@ -34,7 +34,7 @@ from .algebra import (
     phi_rescale,
     regular_supertrace,
 )
-from .quad import QuadratureError, QuadratureSpec, adaptive_quad
+from .quad import QuadratureSpec, adaptive_quad, dyadic_tail
 
 __all__ = [
     "MetricComplex",
@@ -399,9 +399,9 @@ def torsion_form(E: MetricComplex, quad: QuadratureSpec = QuadratureSpec()) -> T
     on the even part of the form algebra alone (``_number_supertrace``).
     That needs X_t odd in total parity, true for omega = h^{-1} dh of a
     graded metric; an ``omega_data`` that is not odd raises
-    ``ComplexDataError``.  A tail that has not fallen below a tenth of
-    the tolerance after ``TAIL_WINDOWS`` windows raises
-    ``QuadratureError``.
+    ``ComplexDataError``.  The t > 1 half is a ``quad.dyadic_tail`` that
+    halves u = 1/sqrt(t) per window from u = 1; after ``TAIL_WINDOWS``
+    windows above a tenth of the tolerance it raises ``QuadratureError``.
     """
     d_E, d_H, betti = _chi_sums(E)
     alg = E.form_algebra()
@@ -435,10 +435,16 @@ def torsion_form(E: MetricComplex, quad: QuadratureSpec = QuadratureSpec()) -> T
     # X_t's even representation), e^{X^2} there is that panel's e^{X^2}
     # to the fourth power, two squarings instead of a Pade evaluation.
     # ``last`` holds the previous window's e^{X^2} by panel nodes until
-    # they are used, ``seen`` the current's.
-    last, seen = {}, {}
+    # they are used, ``seen`` the current's.  Kronrod nodes lie strictly
+    # inside a window (u in (2^-k-1, 2^-k)), so the binary exponent of a
+    # node names its window, and the stores rotate when it changes.
+    last, seen, window = {}, {}, None
 
     def tail_exp(u, msq):
+        nonlocal last, seen, window
+        exponent = np.frexp(u[0])[1]
+        if exponent != window:
+            last, seen, window = seen, {}, exponent
         prior = last.pop((2.0 * u).tobytes(), None)
         if prior is None:
             e = matrix_function(msq, "exp")
@@ -452,22 +458,7 @@ def torsion_form(E: MetricComplex, quad: QuadratureSpec = QuadratureSpec()) -> T
         exp_square = (lambda msq: tail_exp(u, msq)) if linear else None
         return integrand(u ** -2.0, exp_square) * (2.0 / u)[:, None]
 
-    upper = np.zeros_like(lower)
-    err_hi = 0.0
-    cut = 0.1 * quad.tolerance
-    hi = 1.0
-    for _ in range(TAIL_WINDOWS):
-        lo_end = 0.5 * hi
-        window, werr = adaptive_quad(tail, lo_end, hi, quad)
-        upper = upper + window
-        err_hi += werr
-        if np.max(np.abs(window)) < cut:
-            break
-        hi = lo_end
-        last, seen = seen, {}
-    else:
-        raise QuadratureError(f"the t > 1 tail is still above {cut:.3g} after "
-                              f"{TAIL_WINDOWS} dyadic windows (t up to {hi ** -2.0:.3g})")
+    upper, err_hi = dyadic_tail(tail, 1.0, 0.5, quad, TAIL_WINDOWS)
     total = -(lower + upper)
     element = FormElement.from_vector(alg, total)
     deg0 = element.coefficient(0)

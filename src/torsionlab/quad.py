@@ -13,6 +13,11 @@ features that fall between the nodes of a panel.  A panel whose estimate
 is not below its tolerance is bisected, and each half gets half the
 tolerance; the returned error is the sum of the accepted panels'
 estimates.
+
+The t > 1 half of a torsion t-integral is walked in dyadic windows by
+``dyadic_tail``, one ``adaptive_quad`` per window, until a window is
+negligible: the torsion form's in u = t^{-1/2} towards 0, the heat
+route's in t outwards, settling no earlier than its slowest decay time.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureSpec", "QuadratureError", "adaptive_quad"]
+__all__ = ["QuadratureSpec", "QuadratureError", "adaptive_quad", "dyadic_tail"]
 
 # QUADPACK's qk15 table: the Kronrod abscissae on [0, 1] from the outside
 # in, ending at the centre, with their K15 weights; the odd-indexed
@@ -60,7 +65,8 @@ GAUSS_WEIGHTS = _mirror(np.insert(_WG, range(4), 0.0))
 
 
 class QuadratureError(ArithmeticError):
-    """A quadrature panel's value or error estimate is not finite."""
+    """A quadrature panel's value or error estimate is not finite, or a
+    dyadic tail has not settled within its windows."""
 
 
 @dataclass(frozen=True)
@@ -105,3 +111,27 @@ def _bisect(fn, a, b, tol, level, max_levels):
     lval, lerr = _bisect(fn, a, mid, 0.5 * tol, level + 1, max_levels)
     rval, rerr = _bisect(fn, mid, b, 0.5 * tol, level + 1, max_levels)
     return lval + rval, lerr + rerr
+
+
+def dyadic_tail(fn, start: float, factor: float, spec: QuadratureSpec, windows: int,
+                settle: float | None = None):
+    """Sum ``adaptive_quad`` over the windows between start*factor^k and
+    start*factor^(k+1), k = 0, 1, ..., from zero.  Stops at the first
+    window that starts at or above ``settle`` (anywhere if None) and has
+    every component below 0.1 * tolerance.
+    Returns ``(value, error_estimate)``; raises ``QuadratureError`` if
+    none of the first ``windows`` windows stops the walk.
+    """
+    cut = 0.1 * spec.tolerance
+    value, err = 0.0, 0.0
+    edge = start
+    for _ in range(windows):
+        far = edge * factor
+        window, werr = adaptive_quad(fn, min(edge, far), max(edge, far), spec)
+        value = value + window
+        err += werr
+        if (settle is None or edge >= settle) and np.max(np.abs(window)) < cut:
+            return value, err
+        edge = far
+    raise QuadratureError(f"a tail is still above {cut:.3g} after {windows} dyadic "
+                          f"windows from {start:.6g} to {edge:.6g}")

@@ -447,7 +447,7 @@ def compose(E: MetricComplex, Eprime: MetricComplex) -> MetricComplex:
 
 def _solve_in_span(basis: np.ndarray, rhs: np.ndarray):
     rhs = rhs.reshape(basis.shape[0], -1)
-    sol, res, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
+    sol, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
     err = np.linalg.norm(basis @ sol - rhs)
     if err > 1e-8 * max(np.linalg.norm(rhs), 1.0):
         raise DoubleComplexError(f"vector not in expected span (residual {err:.2e})")

@@ -1,5 +1,7 @@
 """Tests for model spectra, zeta determinants, and heat-trace torsion."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from torsionlab.analytic import (
     zeta_log_det,
 )
 from torsionlab.instances import random_unitary
+from torsionlab.quad import QuadratureError
 
 LOG2 = float(np.log(2.0))
 
@@ -168,6 +171,15 @@ class TestHeatIntegral:
                    -np.log(2.0 * np.sin(0.5 * theta))) for L in (7.0, 9.0)]
         for g, expected in cases:
             assert torsion_via_heat_integral(g) == pytest.approx(expected, abs=1e-7)
+
+    def test_tail_that_never_settles_raises(self):
+        # angle 1e-9: the slowest mode decays at t = 1/lam_min = 1e18, past
+        # the last of the 60 windows (t from 2^59 to 2^60)
+        g = ModelGeometry("circle", 1.0, holonomy=np.array([[np.exp(1e-9j)]]))
+        start = time.monotonic()
+        with pytest.raises(QuadratureError, match="dyadic windows"):
+            torsion_via_heat_integral(g)
+        assert time.monotonic() - start < 1.0
 
     def test_small_time_limit(self):
         # h(t) -> chi/4 as t -> 0 (chi is rank-weighted)

@@ -1,7 +1,10 @@
 """Tests for the command-line entry points and report plumbing."""
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -108,6 +111,27 @@ class TestTorsionCommand:
                "holonomy": {"re": [[2.0]], "im": [[0.0]]}}
         path = write(tmp_path, "nonunitary.json", json.dumps(doc))
         assert main(["torsion", path, "--kind", "geometry"]) == 3
+
+    def test_every_library_exception_exits_2_or_3(self, monkeypatch, capsys):
+        # every exception type a torsionlab module defines reaches main() as
+        # a data error (exit 3) or malformed input (exit 2), not a traceback
+        defined = []
+        for info in pkgutil.iter_modules(torsionlab.__path__, "torsionlab."):
+            if info.name.endswith(".__main__"):  # importing it runs the CLI
+                continue
+            module = importlib.import_module(info.name)
+            defined += [c for _, c in inspect.getmembers(module, inspect.isclass)
+                        if issubclass(c, Exception) and c.__module__ == module.__name__]
+        assert len(defined) >= 9
+        for exc in defined:
+            assert issubclass(exc, cli.INVARIANT_ERRORS + (ValueError,)), exc
+
+            def raise_it(*args, **kwargs):
+                raise exc("probe")
+
+            monkeypatch.setattr(cli, "run_verify", raise_it)
+            assert main(["verify", "finite"]) in (2, 3), exc
+            assert "probe" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from torsionlab import algebra, complexes
+from torsionlab import algebra, complexes, quad as quadrature
 from torsionlab.algebra import (
     _basis,
     CircleBase,
@@ -316,7 +316,7 @@ def count_exp_slices(E, monkeypatch):
     """Slices that reach ``algebra._expm`` in ``torsion_form(E)``, and the
     quadrature nodes of its lower half and of its tail windows."""
     counts = {"slices": 0, "lower": 0, "tail": 0}
-    expm, quad = algebra._expm, complexes.adaptive_quad
+    expm, quad = algebra._expm, quadrature.adaptive_quad
 
     def recording_expm(a):
         counts["slices"] += int(np.prod(a.shape[:-2]))
@@ -330,7 +330,8 @@ def count_exp_slices(E, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(algebra, "_expm", recording_expm)
-        m.setattr(complexes, "adaptive_quad", recording_quad)
+        m.setattr(complexes, "adaptive_quad", recording_quad)  # the lower half
+        m.setattr(quadrature, "adaptive_quad", recording_quad)  # the tail windows
         torsion_form(E)
     return counts
 

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, gammaincc
 
 from torsionlab import complexes
 from torsionlab.analytic import ModelGeometry, heat_supertrace, spectrum
@@ -14,7 +14,7 @@ from torsionlab.cli import main
 from torsionlab.complexes import MetricComplex, complex_to_json
 from torsionlab.instances import random_unitary
 from torsionlab.quad import (GAUSS_WEIGHTS, KRONROD_WEIGHTS, NODES, QuadratureError,
-                             QuadratureSpec, adaptive_quad)
+                             QuadratureSpec, adaptive_quad, dyadic_tail)
 
 
 def monomial_error(weights, d):
@@ -105,6 +105,71 @@ class TestAdaptiveQuad:
         finally:
             if enabled:
                 gc.enable()
+
+
+class TestDyadicTail:
+    def test_outward_walk_integrates_the_exponential(self):
+        windows = []
+
+        def fn(t):
+            windows.append((t.min(), t.max()))
+            return np.exp(-t)
+
+        value, err = dyadic_tail(fn, 1.0, 2.0, QuadratureSpec(), 60)
+        assert value == pytest.approx(np.exp(-1.0), abs=1e-12)
+        assert err < 1e-10
+        # [1, 2], [2, 4], ..., [32, 64]: the last one holds about e^-32 < 1e-11
+        assert 32.0 < windows[-1][0] < windows[-1][1] < 64.0
+
+    def test_inward_walk_stops_when_every_component_is_negligible(self):
+        # windows [2^-k-1, 2^-k] hold 7/8 * 8^-k of 3u^2 and 3/4 * 4^-k of
+        # 2u; the second falls below 1e-11 only at k = 19
+        ends = []
+
+        def fn(u):
+            ends.append(u.min())
+            return np.stack([3.0 * u ** 2, 2.0 * u], axis=1)
+
+        value, _ = dyadic_tail(fn, 1.0, 0.5, QuadratureSpec(), 40)
+        np.testing.assert_allclose(value, [1.0 - 8.0 ** -20, 1.0 - 4.0 ** -20],
+                                   rtol=0, atol=1e-14)
+        assert 2.0 ** -20 < min(ends) < 2.0 ** -19
+
+    def test_late_mass_needs_the_settle_point(self):
+        # the Gamma(9, 64) density: its first windows are below the cut,
+        # its mass lies near t = 9 * 64
+        def fn(t):
+            return (t / 64.0) ** 8 * np.exp(-t / 64.0) / (64.0 * 40320.0)
+
+        exact = gammaincc(9, 1.0 / 64.0)
+        early, _ = dyadic_tail(fn, 1.0, 2.0, QuadratureSpec(), 60)
+        assert abs(early) < 1e-11
+        value, err = dyadic_tail(fn, 1.0, 2.0, QuadratureSpec(), 60, settle=64.0)
+        assert value == pytest.approx(exact, abs=1e-9)
+        assert err < 2e-9
+
+    def test_running_out_of_windows_raises(self):
+        calls = []
+
+        def fn(t):
+            calls.append(1)
+            return np.ones_like(t)
+
+        with pytest.raises(QuadratureError, match="after 5 dyadic windows"):
+            dyadic_tail(fn, 1.0, 2.0, QuadratureSpec(), 5)
+        assert len(calls) == 5
+
+    def test_settle_at_a_reciprocal_matches_the_product_test(self):
+        # the heat route settles at 1/lam_min; at power-of-two window starts
+        # that is the test t * lam_min >= 1, rounding included
+        rng = np.random.default_rng(7)
+        lams = [2.0 ** -k for k in range(60)]
+        lams += [np.nextafter(x, d) for x in lams for d in (0.0, 1.0)]
+        lams += list(2.0 ** rng.uniform(-60.0, 1.0, 200))
+        for lam in lams:
+            for e in range(60):
+                t = 2.0 ** e
+                assert (t >= 1.0 / lam) == (t * lam >= 1.0), (lam, t)
 
 
 def test_quadrature_error_exits_3(tmp_path, monkeypatch, capsys):
