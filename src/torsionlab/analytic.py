@@ -279,7 +279,7 @@ def torsion_via_heat_integral(g: ModelGeometry,
     # small-time counterterm, so the stopping test waits until then (windows
     # start at powers of two t, where t >= 1/lam_min iff t * lam_min >= 1).
     lam_min = min((f.c * f.a) ** 2 for fams in s.families for f in fams)
-    upper, _ = dyadic_tail(integrand, 1.0, 2.0, quad, 60, settle=1.0 / lam_min)
+    upper, _ = dyadic_tail(integrand, 2.0, quad, 60, settle=1.0 / lam_min)
     return float(lower + upper)
 
 

@@ -458,7 +458,7 @@ def torsion_form(E: MetricComplex, quad: QuadratureSpec = QuadratureSpec()) -> T
         exp_square = (lambda msq: tail_exp(u, msq)) if linear else None
         return integrand(u ** -2.0, exp_square) * (2.0 / u)[:, None]
 
-    upper, err_hi = dyadic_tail(tail, 1.0, 0.5, quad, TAIL_WINDOWS)
+    upper, err_hi = dyadic_tail(tail, 0.5, quad, TAIL_WINDOWS)
     total = -(lower + upper)
     element = FormElement.from_vector(alg, total)
     deg0 = element.coefficient(0)

@@ -113,18 +113,18 @@ def _bisect(fn, a, b, tol, level, max_levels):
     return lval + rval, lerr + rerr
 
 
-def dyadic_tail(fn, start: float, factor: float, spec: QuadratureSpec, windows: int,
+def dyadic_tail(fn, factor: float, spec: QuadratureSpec, windows: int,
                 settle: float | None = None):
-    """Sum ``adaptive_quad`` over the windows between start*factor^k and
-    start*factor^(k+1), k = 0, 1, ..., from zero.  Stops at the first
-    window that starts at or above ``settle`` (anywhere if None) and has
-    every component below 0.1 * tolerance.
+    """Sum ``adaptive_quad`` over the windows between factor^k and
+    factor^(k+1), k = 0, 1, ..., from 1, starting from zero.  Stops at the
+    first window that starts at or above ``settle`` (anywhere if None) and
+    has every component below 0.1 * tolerance.
     Returns ``(value, error_estimate)``; raises ``QuadratureError`` if
     none of the first ``windows`` windows stops the walk.
     """
     cut = 0.1 * spec.tolerance
     value, err = 0.0, 0.0
-    edge = start
+    edge = 1.0
     for _ in range(windows):
         far = edge * factor
         window, werr = adaptive_quad(fn, min(edge, far), max(edge, far), spec)
@@ -134,4 +134,4 @@ def dyadic_tail(fn, start: float, factor: float, spec: QuadratureSpec, windows: 
             return value, err
         edge = far
     raise QuadratureError(f"a tail is still above {cut:.3g} after {windows} dyadic "
-                          f"windows from {start:.6g} to {edge:.6g}")
+                          f"windows of the integration variable, from 1 to {edge:.6g}")
