@@ -206,11 +206,20 @@ def zeta_log_det(s: SpectrumData, q: int, method: str = "closed") -> float:
     return sum(family_log_det(f, method) for f in s.families[q])
 
 
+def _character_torsion(s: SpectrumData, character, method: str) -> float:
+    """(1/2) sum_q (-1)^q q sum_f character(f.parity) log det' f over the
+    families f of the degree-q spectrum."""
+    total = 0.0
+    for q in range(2):
+        acc = sum(character(f.parity) * family_log_det(f, method)
+                  for f in s.families[q])
+        total += 0.5 * ((-1.0) ** q) * q * acc
+    return total
+
+
 def scalar_torsion(g: ModelGeometry, method: str = "closed") -> float:
     """Degree-zero analytic torsion (1/2) sum_q (-1)^q q log det' Delta_q."""
-    s = spectrum(g)
-    return sum(0.5 * ((-1.0) ** q) * q * zeta_log_det(s, q, method)
-               for q in range(2))
+    return _character_torsion(spectrum(g), lambda parity: 1.0, method)
 
 
 # ---- heat-trace route ----------------------------------------------------
@@ -293,17 +302,12 @@ def equivariant_scalar_torsion(g: ModelGeometry, element: str = "identity",
     """
     s = doubled_spectrum(g)
     if element == "identity":
-        weight = lambda parity: 1.0
+        character = lambda parity: 1.0
     elif element == "reflection":
-        weight = lambda parity: 1.0 if parity == "even" else -1.0
+        character = lambda parity: 1.0 if parity == "even" else -1.0
     else:
         raise ValueError(f"unknown group element {element!r}")
-    total = 0.0
-    for q in range(2):
-        acc = sum(weight(f.parity) * family_log_det(f, method)
-                  for f in s.families[q])
-        total += 0.5 * ((-1.0) ** q) * q * acc
-    return total
+    return _character_torsion(s, character, method)
 
 
 # ---- cohomology ----------------------------------------------------------

@@ -85,9 +85,11 @@ from .spectral import (
 
 LOG2 = float(np.log(2.0))
 
+# exit 3; caught before ValueError (exit 2), of which LinAlgError is one
 INVARIANT_ERRORS = (MorseDataError, GeometryError, ComplexDataError,
                     DoubleComplexError, GluingError, AlgebraError,
-                    IllConditionedError, QuadratureError)
+                    IllConditionedError, QuadratureError,
+                    np.linalg.LinAlgError, FloatingPointError)
 
 
 def _entry(name: str, value: float, tolerance: float, ok: bool | None = None) -> dict:

@@ -6,7 +6,10 @@ cohomology, and the eigenvalue route to the degree-zero torsion:
     (1/2) sum_q (-1)^q q log det' Delta_q
 
 with det' the product of nonzero eigenvalues.  This is the closed-form
-cross-check for the quadrature-based torsion form.
+cross-check for the quadrature-based torsion form.  Given a degree-wise
+involution phi commuting with the differential, the same route gives the
+equivariant torsion: each nonzero mode's log is weighted by the diagonal
+of phi in the Laplacian eigenbasis, which sums to tr(phi log' Delta_q).
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ def orthonormal_laplacians(E: MetricComplex):
 class HodgeData:
     laplacians: list
     eigenvalues: list
+    eigenvectors: list   # of the Laplacians, in orthonormal coordinates
     betti: tuple
     harmonics: list      # h-orthonormal harmonic bases, original coordinates
     frames: list         # Cholesky factors of the metrics
@@ -83,15 +87,17 @@ def hodge_decompose(E: MetricComplex) -> HodgeData:
     _require_point_base(E)
     betti = E.betti()
     laplacians, frames = orthonormal_laplacians(E)
-    eigenvalues, harmonics = [], []
+    eigenvalues, eigenvectors, harmonics = [], [], []
     for q, (d, lap) in enumerate(zip(E.dims, laplacians)):
         if d == 0:
             eigenvalues.append(np.zeros(0))
+            eigenvectors.append(np.zeros((0, 0), dtype=complex))
             harmonics.append(np.zeros((0, 0), dtype=complex))
             continue
         w, u = np.linalg.eigh(lap)
         w = np.clip(w, 0.0, None)
         eigenvalues.append(w)
+        eigenvectors.append(u)
         # w are eigenvalues of the Laplacian, i.e. squared singular values
         # of the differentials, cut here as if they were singular values
         kernel_dim = d - numerical_rank(w[::-1])
@@ -105,7 +111,7 @@ def hodge_decompose(E: MetricComplex) -> HodgeData:
         basis = np.linalg.solve(frames[q].conj().T, u[:, :kernel_dim]) if kernel_dim else \
             np.zeros((d, 0), dtype=complex)
         harmonics.append(basis)
-    return HodgeData(laplacians, eigenvalues, betti, harmonics, frames)
+    return HodgeData(laplacians, eigenvalues, eigenvectors, betti, harmonics, frames)
 
 
 def cohomology_class_basis(E: MetricComplex):
@@ -158,8 +164,14 @@ def induced_gram(E: MetricComplex, class_basis=None):
     return [r.conj().T @ hq @ r for r, hq in zip(reps, E.h)]
 
 
-def scalar_torsion_eigen(E: MetricComplex) -> float:
-    """Degree-zero torsion from Laplacian eigenvalues (closed-form route)."""
+def scalar_torsion_eigen(E: MetricComplex, involution=None) -> float:
+    """Degree-zero torsion from Laplacian eigenvalues (closed-form route).
+
+    With a degree-wise ``involution`` phi (commuting with the differential,
+    isometric) this is the equivariant torsion of phi: each nonzero mode u
+    weights its log by Re u^H phi u in orthonormal coordinates, so degree q
+    contributes tr(phi log' Delta_q).  None means the identity element.
+    """
     data = hodge_decompose(E)
     total = 0.0
     for q, w in enumerate(data.eigenvalues):
@@ -167,7 +179,14 @@ def scalar_torsion_eigen(E: MetricComplex) -> float:
         nonzero = w[data.betti[q]:]
         g = E.grading_offset + q
         if len(nonzero):
-            total += 0.5 * ((-1.0) ** g) * g * float(np.sum(np.log(nonzero)))
+            logs = np.log(nonzero)
+            if involution is not None:
+                # phi in orthonormal coordinates y = L^H x: L^H phi L^{-H}
+                lh = data.frames[q].conj().T
+                phi = lh @ involution[q] @ np.linalg.inv(lh)
+                u = data.eigenvectors[q][:, data.betti[q]:]
+                logs = np.einsum("ij,ik,kj->j", u.conj(), phi, u).real * logs
+            total += 0.5 * ((-1.0) ** g) * g * float(np.sum(logs))
     return total
 
 

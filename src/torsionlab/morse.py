@@ -12,8 +12,8 @@ From it we assemble:
   (``z2_split``);
 * the comparison maps between one-sided complexes and the invariant /
   anti-invariant parts of the double (``psi_maps``);
-* the equivariant degree-zero torsion weighted by the involution action
-  on Laplacian eigenspaces (``equivariant_scalar_torsion``);
+* the equivariant degree-zero torsion (``equivariant_scalar_torsion``):
+  ``hodge``'s eigenvalue route with each mode weighted by the involution;
 * the three-column double complex relative -> full -> absolute
   (``three_column_double``).
 
@@ -33,10 +33,9 @@ from .complexes import (
     _mat_from_json,
     _mat_to_json,
     check_finite,
-    numerical_rank,
     rank_split,
 )
-from .hodge import orthonormal_laplacians, scalar_torsion_eigen
+from .hodge import scalar_torsion_eigen
 from .spectral import DoubleComplexData
 
 __all__ = [
@@ -62,8 +61,6 @@ __all__ = [
 ]
 
 _REGIONS = ("Z1", "Z2", "Y")
-# relative gap below which Laplacian eigenvalues form one eigenspace
-_CLUSTER_TOL = 1e-8
 
 
 class MorseDataError(ValueError):
@@ -373,38 +370,15 @@ def comparison_torsions(P: PsiMaps):
 def equivariant_scalar_torsion(C: Z2Complex, g: str = "reflection") -> float:
     """Degree-zero equivariant torsion of an involution-invariant complex.
 
-    Eigenvalue route: (1/2) sum_q (-1)^q q sum_lambda tr(g | lambda
-    eigenspace of Delta_q) log lambda over the nonzero spectrum, with g
-    the involution ("reflection") or the identity.
+    (1/2) sum_q (-1)^q q tr(g log' Delta_q), with g the involution
+    ("reflection") or the identity: ``hodge.scalar_torsion_eigen`` with
+    the involution as its weight, so its zero modes pass the same
+    kernel-against-rank check.
     """
     C.validate()
-    E = C.complex
-    laplacians, frames = orthonormal_laplacians(E)
-    total = 0.0
-    for q, (d, lap) in enumerate(zip(E.dims, laplacians)):
-        if d == 0:
-            continue
-        w, u = np.linalg.eigh(lap)
-        if g == "identity":
-            phi_on = np.eye(d, dtype=complex)
-        elif g == "reflection":
-            phi_on = frames[q].conj().T @ C.involution[q] @ \
-                np.linalg.inv(frames[q].conj().T)
-        else:
-            raise ValueError(f"unknown group element {g!r}")
-        scale = max(w[-1], 1.0)
-        i = d - numerical_rank(w[::-1])   # skip the zero modes
-        acc = 0.0
-        while i < d:
-            j = i
-            while j + 1 < d and w[j + 1] - w[i] < _CLUSTER_TOL * scale:
-                j += 1
-            block = u[:, i:j + 1]
-            weight = np.trace(block.conj().T @ phi_on @ block).real
-            acc += weight * np.log(float(np.mean(w[i:j + 1])))
-            i = j + 1
-        total += 0.5 * ((-1.0) ** q) * q * acc
-    return total
+    if g not in ("identity", "reflection"):
+        raise ValueError(f"unknown group element {g!r}")
+    return scalar_torsion_eigen(C.complex, C.involution if g == "reflection" else None)
 
 
 # ---- three-column assembly -----------------------------------------------

@@ -2,6 +2,7 @@
 
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -122,6 +123,26 @@ class TestZetaLogDet:
             closed = family_log_det(fam)
             oracle = family_log_det(fam, "euler_maclaurin")
             assert closed == pytest.approx(oracle, abs=1e-9)
+
+    def test_both_routes_match_mpmath_hurwitz_zeta(self):
+        # an oracle sharing no code with either route: -zeta'(0) of the
+        # family is mult (2 ln c (1/2 - a) - 2 zeta_H'(0, a)), with mpmath's
+        # Hurwitz zeta derivative at 30 digits (no lgamma involved)
+        rng = np.random.default_rng(3)
+        worst_closed = worst_em = 0.0
+        with mpmath.workdps(30):
+            for _ in range(200):
+                fam = QuadraticFamily(float(rng.uniform(0.3, 5.0)),
+                                      float(rng.uniform(0.05, 1.0)),
+                                      int(rng.integers(1, 4)))
+                c, a = mpmath.mpf(fam.c), mpmath.mpf(fam.a)
+                exact = fam.mult * (2 * mpmath.log(c) * (mpmath.mpf(1) / 2 - a)
+                                    - 2 * mpmath.zeta(0, a, 1))
+                worst_closed = max(worst_closed, abs(float(family_log_det(fam) - exact)))
+                worst_em = max(worst_em, abs(float(
+                    family_log_det(fam, "euler_maclaurin") - exact)))
+        assert worst_closed < 1e-13
+        assert worst_em < 1e-10
 
 
 class TestScalarTorsion:

@@ -133,6 +133,16 @@ class TestTorsionCommand:
             assert main(["verify", "finite"]) in (2, 3), exc
             assert "probe" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exc", [np.linalg.LinAlgError, FloatingPointError])
+    def test_numerical_failure_exits_3(self, exc, monkeypatch, capsys):
+        # LinAlgError is a ValueError, yet a numerical failure, not bad input
+        def raise_it(*args, **kwargs):
+            raise exc("probe")
+
+        monkeypatch.setattr(cli, "run_verify", raise_it)
+        assert main(["verify", "finite"]) == 3
+        assert "probe" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_suites_pass(self):

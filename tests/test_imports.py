@@ -1,4 +1,5 @@
-"""Every import in ``src/`` and ``tests/`` is used (standard-library ``ast`` only)."""
+"""Every import in ``src/`` and ``tests/`` is used, and the linear-algebra
+routes stay where they belong (standard-library ``ast`` only)."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,20 @@ def unused_imports(path):
 def test_no_unused_imports():
     files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
     assert [u for f in files for u in unused_imports(f)] == []
+
+
+def linalg_calls(path):
+    """Names f of every ``np.linalg.f(...)`` call in the file."""
+    tree = ast.parse(path.read_text(), str(path))
+    return {node.func.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and ast.unparse(node.func.value) == "np.linalg"}
+
+
+def test_one_rank_policy_and_one_eigenvalue_route():
+    # singular values are cut only by the rank policy in complexes.py, and
+    # the modules built on hodge's eigenvalue route keep no eigen solver
+    files = {f.name: linalg_calls(f) for f in sorted((ROOT / "src").rglob("*.py"))}
+    assert sorted(name for name, calls in files.items() if "svd" in calls) == ["complexes.py"]
+    for name in ("morse.py", "spectral.py", "glue.py"):
+        assert not {c for c in files[name] if c.startswith("eig")}, name

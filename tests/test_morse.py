@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from torsionlab.complexes import MetricComplex, NonFiniteDataError
-from torsionlab.hodge import scalar_torsion_eigen
-from torsionlab.instances import random_invertible, random_unitary
+from torsionlab.hodge import IllConditionedError, scalar_torsion_eigen
+from torsionlab.instances import random_invertible, random_metric, random_unitary
 from torsionlab.morse import (
     CriticalPoint,
     Instanton,
@@ -216,8 +216,8 @@ class TestEquivariantTorsion:
         rng = np.random.default_rng(14)
         t1, t2 = random_unitary(rng, 2), random_unitary(rng, 2)
         C = doubled_complex(double(arc_data((t1, t2), rank=2)))
-        lhs = equivariant_scalar_torsion(C, "identity")
-        assert lhs == pytest.approx(scalar_torsion_eigen(C.complex), abs=1e-10)
+        # the identity element is the plain eigenvalue route itself
+        assert equivariant_scalar_torsion(C, "identity") == scalar_torsion_eigen(C.complex)
 
     def test_reflection_weights_by_character(self):
         rng = np.random.default_rng(15)
@@ -233,6 +233,38 @@ class TestEquivariantTorsion:
         C = doubled_complex(double(arc_data(rank=1)))
         with pytest.raises(ValueError):
             equivariant_scalar_torsion(C, "rotation")
+
+    def test_reflection_under_an_invariant_metric(self):
+        # h = (h0 + phi^H h0 phi) / 2 makes the involution isometric for a
+        # non-identity metric, so the frames' L^H phi L^{-H} is exercised
+        rng = np.random.default_rng(21)
+        for rank in (1, 2, 3):
+            t1, t2 = random_unitary(rng, rank), random_unitary(rng, rank)
+            C = doubled_complex(double(arc_data((t1, t2), rank=rank)))
+            E = C.complex
+            h = []
+            for phi in C.involution:
+                h0 = random_metric(rng, len(phi))
+                h.append(0.5 * (h0 + phi.conj().T @ h0 @ phi))
+            C = Z2Complex(MetricComplex(E.dims, E.v, h), C.involution).validate()
+            plus, minus, _, _ = z2_split(C)
+            t_plus, t_minus = scalar_torsion_eigen(plus), scalar_torsion_eigen(minus)
+            for element, chi in (("identity", 1.0), ("reflection", -1.0)):
+                lhs = equivariant_scalar_torsion(C, element)
+                assert lhs == pytest.approx(t_plus + chi * t_minus, abs=1e-12)
+
+    def test_unresolved_zero_mode_raises(self):
+        # v = diag(1, 1e-6) has rank 2 but a Laplacian eigenvalue 1e-12,
+        # which the kernel-against-rank check of hodge_decompose refuses
+        v = np.diag([1.0, 1e-6]).astype(complex)
+        phi = np.diag([1.0, -1.0]).astype(complex)
+        E = MetricComplex([2, 2], [v], [np.eye(2, dtype=complex)] * 2)
+        C = Z2Complex(E, [phi, phi]).validate()
+        with pytest.raises(IllConditionedError):
+            scalar_torsion_eigen(E)
+        for element in ("identity", "reflection"):
+            with pytest.raises(IllConditionedError):
+                equivariant_scalar_torsion(C, element)
 
 
 class TestThreeColumnAssembly:
