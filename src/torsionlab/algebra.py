@@ -23,7 +23,8 @@ a table made once per algebra, and a product is read back by a reshape.
 exp, f(a) = a e^{a^2} and f'(a) = (1 + 2a^2) e^{a^2} of a form-valued
 matrix are ordinary matrix functions of it; one kernel evaluates the
 exponential of a whole stack at once by Pade scaling and squaring
-(Higham 2005).
+(Higham 2005).  ``f_prime_supertrace`` reads the supertrace of f' from
+a^2 and e^{a^2} without forming their product.
 
 The regular representation never maps a key to one of lower degree, so
 the keys of degree above any bound span an invariant subspace, and the
@@ -50,9 +51,9 @@ __all__ = [
     "FormElement",
     "FormMatrix",
     "regular_supertrace",
+    "f_prime_supertrace",
     "phi_rescale",
     "matrix_function",
-    "f_prime",
     "exterior_d",
     "PHI_ROOT",
 ]
@@ -423,10 +424,35 @@ def regular_supertrace(algebra, reps: np.ndarray, weights) -> np.ndarray:
     Returns shape (..., number of coefficients), each row in
     ``FormElement.to_vector`` order.
     """
-    weights = np.asarray(weights)
-    n, nk = len(weights), len(_basis(algebra)[0])
-    col = reps[..., :n]
-    traces = np.diagonal(col.reshape(col.shape[:-2] + (-1, n, n)), axis1=-2, axis2=-1) @ weights
+    n = len(weights)
+    blocks = _key_rows(algebra, reps[..., :n], n)
+    return _trace_rows(algebra, np.diagonal(blocks, axis1=-2, axis2=-1) @ weights)
+
+
+def f_prime_supertrace(algebra, msq: np.ndarray, col: np.ndarray, weights) -> np.ndarray:
+    """``regular_supertrace(algebra, (I + 2 msq) @ R, weights)`` without the
+    product, for ``msq`` regular representations or their even parts,
+    (..., [grid,] N, N), and any R with first block column C = ``col``,
+    (..., N, n): with msq = a^2 and R = e^{a^2}, the supertrace of f'(a).
+    Row bn + i of that column of the product meets column i in C_{bn+i, i}
+    + 2 sum_j msq_{bn+i, j} C_{j, i}: N^2 products per slice, not N^3."""
+    n = len(weights)
+    diagonals = np.diagonal(_key_rows(algebra, col, n), axis1=-2, axis2=-1) + 2.0 * np.einsum(
+        "...bij,...ji->...bi", _key_rows(algebra, msq, n), col)
+    return _trace_rows(algebra, diagonals @ weights)
+
+
+def _key_rows(algebra, rows: np.ndarray, n: int) -> np.ndarray:
+    """Rows (..., K n, M) of K kept keys' blocks as (..., K, n, M); K is
+    every key when n = 0."""
+    keys = rows.shape[-2] // n if n else len(_basis(algebra)[0])
+    return rows.reshape(rows.shape[:-2] + (keys, n, rows.shape[-1]))
+
+
+def _trace_rows(algebra, traces: np.ndarray) -> np.ndarray:
+    """Block traces (..., [grid,] kept keys) as rows in ``FormElement.to_vector``
+    order; the keys that ``regular(even=True)`` drops get zeros."""
+    nk = len(_basis(algebra)[0])
     if traces.shape[-1] < nk:
         full = np.zeros(traces.shape[:-1] + (nk,), dtype=traces.dtype)
         full[..., _even_keys(algebra)] = traces
@@ -525,16 +551,8 @@ def matrix_function(m, which: str):
     if which == "f":
         return m @ emsq
     if which == "f_prime":
-        return f_prime(msq, emsq, ident)
+        return (ident + 2.0 * msq) @ emsq
     raise ValueError(f"unknown matrix function {which!r}")
-
-
-def f_prime(msq, emsq, ident=None):
-    """f'(a) = (1 + 2a^2) e^{a^2}, from a^2 and e^{a^2}: stacks of matrices,
-    or ``FormMatrix``es with their identity ``ident``."""
-    if ident is None:
-        ident = np.eye(msq.shape[-1])
-    return (ident + 2.0 * msq) @ emsq
 
 
 def exterior_d(elem: FormElement) -> FormElement:

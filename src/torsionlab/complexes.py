@@ -29,7 +29,7 @@ from .algebra import (
     FormElement,
     FormMatrix,
     PHI_ROOT,
-    f_prime,
+    f_prime_supertrace,
     matrix_function,
     phi_rescale,
     regular_supertrace,
@@ -309,9 +309,9 @@ def char_form(E: MetricComplex) -> FormElement:
     (2 i pi)^{1/2} times the rescaled supertrace of f(omega/2); real with
     only odd degrees.
     """
-    alg, signs = E.form_algebra(), [(-1.0) ** g for g in E.grading]
+    alg, signs, n = E.form_algebra(), [(-1.0) ** g for g in E.grading], E.total_dim
     f = matrix_function(omega(E) * 0.5, "f").coeffs
-    val = regular_supertrace(alg, f.reshape(f.shape[:-3] + (-1, E.total_dim)), signs)
+    val = regular_supertrace(alg, f.reshape(f.shape[:-3] + (f.shape[-3] * n, n)), signs)
     return PHI_ROOT * phi_rescale(FormElement.from_vector(alg, val))
 
 
@@ -359,7 +359,7 @@ def _number_supertrace(E: MetricComplex):
         x = rep0 + ts.reshape(node_axis) * rep1
         msq = x @ x
         emsq = matrix_function(msq, "exp") if exp_square is None else exp_square(msq)
-        return regular_supertrace(alg, f_prime(msq, emsq), weights)
+        return f_prime_supertrace(alg, msq, emsq[..., :E.total_dim], weights)
 
     return supertrace, _square_is_linear(rep0, rep1)
 
@@ -520,8 +520,8 @@ def tilde_f(E: MetricComplex, h0, h1, path: str = "linear",
     along a path of metrics from h0 to h1.  The degree-zero part is half
     the alternating-with-weights log ratio of metric volumes.  A panel's
     nodes are evaluated at once, as stacks with the node axis leading: one
-    matrix-function call gives f'(omega/2), and as the factor h^{-1} hdot
-    is even, the supertrace is read from f'(omega/2) h^{-1} hdot / 2.
+    matrix-function call gives e^{(omega/2)^2}, and as the factor h^{-1} hdot
+    is even, ``f_prime_supertrace`` reads that of f'(omega/2) h^{-1} hdot / 2.
     """
     alg = E.form_algebra()
     path_at = _metric_path(*(_as_metric_blocks(h, E.dims, E.base) for h in (h0, h1)), path)
@@ -535,8 +535,10 @@ def tilde_f(E: MetricComplex, h0, h1, path: str = "linear",
             if blk.shape[-1]:
                 _check_cone(np.linalg.eigvalsh(blk))
         factor = 0.5 * _solved_total(E, list(zip(hl, hd)))
-        fp = matrix_function(0.5 * omega(E, hl).regular(), "f_prime")
-        return regular_supertrace(alg, fp[..., :E.total_dim] @ factor, signs) * rescale
+        half = 0.5 * omega(E, hl).regular()
+        msq = half @ half
+        col = matrix_function(msq, "exp")[..., :E.total_dim] @ factor
+        return f_prime_supertrace(alg, msq, col, signs) * rescale
 
     value, _ = adaptive_quad(integrand, 0.0, 1.0, quad)
     return FormElement.from_vector(alg, value)

@@ -16,6 +16,7 @@ from torsionlab.algebra import (
     PHI_ROOT,
     _basis,
     exterior_d,
+    f_prime_supertrace,
     matrix_function,
     phi_rescale,
     regular_supertrace,
@@ -230,6 +231,39 @@ class TestSupertrace:
                             rhs = supertrace(b @ a) * sign
                             np.testing.assert_allclose(lhs.to_vector(), rhs.to_vector(),
                                                        atol=1e-10)
+
+    @pytest.mark.parametrize("size", [3, 0])
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("alg", [FormalPoint(1), FormalPoint(3), FormalPoint(4, 3),
+                                     CircleBase(32)], ids=str)
+    def test_f_prime_trace_matches_full_product(self, alg, even, size):
+        # the trace of f'(X) from X^2 and the first block column of e^{X^2},
+        # alone and through a right factor R as tilde_f uses it, against
+        # the full product; FormalPoint(4, 3)'s kept keys of degree <= 2
+        # are not a prefix of its basis, and the leading axis is a node axis
+        rng = np.random.default_rng(size + 2 * even)
+        grading, grid = (0, 1, 1)[:size], getattr(alg, "grid_size", None)
+        lead = (4,) if grid is None else (4, grid)
+
+        def random_blocks(scale):
+            return scale * (rng.standard_normal(lead + (size, size))
+                            + 1j * rng.standard_normal(lead + (size, size)))
+
+        x = FormMatrix(alg, size, grading, {k: random_blocks(0.25) for k in _basis(alg)[0]})
+        reps, weights = x.regular(even=even), rng.standard_normal(size)
+        msq = reps @ reps
+        col = matrix_function(msq, "exp")[..., :size]
+        factor = random_blocks(0.5)
+        full = matrix_function(reps, "f_prime")
+        for got, ref in ((f_prime_supertrace(alg, msq, col, weights),
+                          regular_supertrace(alg, full, weights)),
+                         (f_prime_supertrace(alg, msq, col @ factor, weights),
+                          regular_supertrace(alg, full[..., :size] @ factor, weights)),
+                         (f_prime_supertrace(alg, msq[0], col[0], weights),
+                          regular_supertrace(alg, full[0], weights))):
+            assert got.shape == ref.shape == ref.shape[:-1] + (len(FormElement(alg).to_vector()),)
+            assert size == 0 or np.abs(ref).max() > 1e-1  # not vacuous
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
 
 
 class TestPhiRescale:

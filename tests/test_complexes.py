@@ -180,8 +180,15 @@ class TestTorsionForm:
         assert res.d_H == 0
 
     def test_zero_complex(self):
-        E = MetricComplex([0, 0], [np.zeros((0, 0))], [np.zeros((0, 0))] * 2)
-        assert torsion_form(E).degree0 == 0.0
+        # the three form-valued outputs of a zero-dimensional complex are
+        # zero forms, on a point base and over a circle
+        for base in (None, CircleBase(8)):
+            E = MetricComplex([0, 0], [np.zeros((0, 0))], [np.zeros((0, 0))] * 2, base=base)
+            res = torsion_form(E)
+            assert not np.any(res.degree0)
+            zero = FormElement(E.form_algebra()).to_vector()
+            for form in (res.element, tilde_f(E, E.h, E.h), char_form(E)):
+                np.testing.assert_array_equal(form.to_vector(), zero)
 
     def test_random_tau_log_det(self):
         rng = np.random.default_rng(7)

@@ -1,5 +1,6 @@
 """Every import in ``src/`` and ``tests/`` is used, and the linear-algebra
-routes stay where they belong (standard-library ``ast`` only)."""
+routes and the full f' product stay where they belong (standard-library
+``ast`` only)."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,18 @@ def test_one_rank_policy_and_one_eigenvalue_route():
     assert sorted(name for name, calls in files.items() if "svd" in calls) == ["complexes.py"]
     for name in ("morse.py", "spectral.py", "glue.py"):
         assert not {c for c in files[name] if c.startswith("eig")}, name
+
+
+def test_torsion_integrands_never_form_f_prime():
+    # the full product (1 + 2a^2) e^{a^2} is the tests' reference alone:
+    # complexes reads its supertrace through algebra.f_prime_supertrace
+    tree = ast.parse((ROOT / "src" / "torsionlab" / "complexes.py").read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)}
+    assert "f_prime" not in names
+    calls = [ast.unparse(n) for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and ast.unparse(n.func).split(".")[-1] == "matrix_function"
+             and any(isinstance(a, ast.Constant) and a.value == "f_prime"
+                     for a in n.args + [k.value for k in n.keywords])]
+    assert calls == []
