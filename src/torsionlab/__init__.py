@@ -7,7 +7,7 @@ Subpackages by theme:
 * :mod:`torsionlab.complexes` -- flat metric complexes, characteristic
   forms, torsion forms, metric-comparison classes,
 * :mod:`torsionlab.hodge` -- finite-dimensional Hodge theory and the
-  eigenvalue route to degree-zero torsion,
+  singular-value route to degree-zero torsion,
 * :mod:`torsionlab.morse` -- critical-point (Thom-Smale style) complexes,
   doubling, parity splitting and comparison maps,
 * :mod:`torsionlab.spectral` -- double complexes, spectral pages, and

@@ -49,6 +49,7 @@ __all__ = [
     "complex_from_json",
     "RANK_THRESHOLD",
     "numerical_rank",
+    "ranked_svd",
     "rank_split",
 ]
 
@@ -94,16 +95,23 @@ def numerical_rank(s, scale=None) -> int:
     return int(np.count_nonzero(s > RANK_THRESHOLD * max(scale, 1.0)))
 
 
+def ranked_svd(m: np.ndarray, scale=None):
+    """The SVD factors u, s, vh of m and its numerical rank.
+
+    The factors are the reduced ones, except that a wide m keeps its full
+    vh, whose trailing rows span its null space."""
+    rows, cols = m.shape
+    if rows == 0 or cols == 0:
+        return (np.zeros((rows, 0), dtype=complex), np.zeros(0),
+                np.eye(cols, dtype=complex), 0)
+    u, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
+    return u, s, vh, numerical_rank(s, scale)
+
+
 def rank_split(m: np.ndarray, scale=None):
     """Orthonormal bases of the column space and of the null space of m,
     split at its numerical rank."""
-    rows, cols = m.shape
-    if rows == 0 or cols == 0:
-        return np.zeros((rows, 0), dtype=complex), np.eye(cols, dtype=complex)
-    # only a wide m needs the full vh for its null space; the reduced
-    # factors of a tall or square m are the same numbers, and cheaper
-    u, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    rank = numerical_rank(s, scale)
+    u, _, vh, rank = ranked_svd(m, scale)
     return u[:, :rank], vh[rank:].conj().T
 
 

@@ -1,30 +1,28 @@
 """Finite-dimensional Hodge theory for metric complexes.
 
-Provides per-degree Laplacians, harmonic subspaces, induced metrics on
-cohomology, and the eigenvalue route to the degree-zero torsion:
+Provides harmonic representatives, induced metrics on cohomology, and the
+eigenvalue route to the degree-zero torsion:
 
-    (1/2) sum_q (-1)^q q log det' Delta_q
+    (1/2) sum_q (-1)^q q log det' Delta_q = sum_q (-1)^(q+1) sum_i log s_{q,i}
 
-with det' the product of nonzero eigenvalues.  This is the closed-form
+with det' the product of nonzero eigenvalues and s_{q,i} the nonzero
+singular values of the q-th differential in metric-orthonormal
+coordinates, whose squares are those eigenvalues.  The route reads the
+singular values, never the Laplacians.  This is the closed-form
 cross-check for the quadrature-based torsion form.  Given a degree-wise
 involution phi commuting with the differential, the same route gives the
-equivariant torsion: each nonzero mode's log is weighted by the diagonal
-of phi in the Laplacian eigenbasis, which sums to tr(phi log' Delta_q).
+equivariant torsion: each log s is weighted by the diagonal of phi at the
+mode's right singular vector, which sums to tr(phi log' Delta_q).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import CircleBase
-from .complexes import MetricComplex, _chi_sums, numerical_rank, rank_split
+from .complexes import MetricComplex, _chi_sums, rank_split, ranked_svd
 
 __all__ = [
-    "HodgeData",
-    "hodge_decompose",
-    "orthonormal_laplacians",
     "cohomology_class_basis",
     "harmonic_representatives",
     "induced_gram",
@@ -35,7 +33,8 @@ __all__ = [
 
 
 class IllConditionedError(RuntimeError):
-    """Kernel dimension of a Laplacian could not be resolved cleanly."""
+    """A differential's numerical rank in metric-orthonormal coordinates
+    differs from its rank in the stored coordinates."""
 
 
 def _require_point_base(E: MetricComplex):
@@ -52,66 +51,6 @@ def _cholesky_frames(E: MetricComplex):
             continue
         frames.append(np.linalg.cholesky(hq))
     return frames
-
-
-def orthonormal_laplacians(E: MetricComplex):
-    """Per-degree Laplacians in metric-orthonormal coordinates, and the
-    Cholesky frames of the metrics."""
-    frames = _cholesky_frames(E)
-    # the differential in those coordinates: y_{q+1} = L_{q+1}^H v (L_q^H)^{-1} y_q
-    vt = [frames[q + 1].conj().T @ vq @ np.linalg.inv(frames[q].conj().T)
-          if min(vq.shape) else vq for q, vq in enumerate(E.v)]
-    laplacians = []
-    for q, d in enumerate(E.dims):
-        lap = np.zeros((d, d), dtype=complex)
-        if q < len(vt) and min(vt[q].shape) > 0:
-            lap += vt[q].conj().T @ vt[q]
-        if q > 0 and min(vt[q - 1].shape) > 0:
-            lap += vt[q - 1] @ vt[q - 1].conj().T
-        laplacians.append(lap)
-    return laplacians, frames
-
-
-@dataclass
-class HodgeData:
-    laplacians: list
-    eigenvalues: list
-    eigenvectors: list   # of the Laplacians, in orthonormal coordinates
-    betti: tuple
-    harmonics: list      # h-orthonormal harmonic bases, original coordinates
-    frames: list         # Cholesky factors of the metrics
-
-
-def hodge_decompose(E: MetricComplex) -> HodgeData:
-    """Eigendecompose the per-degree Laplacians and split off the kernels."""
-    _require_point_base(E)
-    betti = E.betti()
-    laplacians, frames = orthonormal_laplacians(E)
-    eigenvalues, eigenvectors, harmonics = [], [], []
-    for q, (d, lap) in enumerate(zip(E.dims, laplacians)):
-        if d == 0:
-            eigenvalues.append(np.zeros(0))
-            eigenvectors.append(np.zeros((0, 0), dtype=complex))
-            harmonics.append(np.zeros((0, 0), dtype=complex))
-            continue
-        w, u = np.linalg.eigh(lap)
-        w = np.clip(w, 0.0, None)
-        eigenvalues.append(w)
-        eigenvectors.append(u)
-        # w are eigenvalues of the Laplacian, i.e. squared singular values
-        # of the differentials, cut here as if they were singular values
-        kernel_dim = d - numerical_rank(w[::-1])
-        if kernel_dim != betti[q]:
-            gap = (w[kernel_dim - 1] if kernel_dim else 0.0,
-                   w[kernel_dim] if kernel_dim < len(w) else np.inf)
-            raise IllConditionedError(
-                f"degree {q}: spectral kernel dim {kernel_dim} != rank-based "
-                f"cohomology dim {betti[q]} (eigenvalue gap {gap})")
-        # back to original coordinates: x = (L^H)^{-1} y
-        basis = np.linalg.solve(frames[q].conj().T, u[:, :kernel_dim]) if kernel_dim else \
-            np.zeros((d, 0), dtype=complex)
-        harmonics.append(basis)
-    return HodgeData(laplacians, eigenvalues, eigenvectors, betti, harmonics, frames)
 
 
 def cohomology_class_basis(E: MetricComplex):
@@ -165,28 +104,41 @@ def induced_gram(E: MetricComplex, class_basis=None):
 
 
 def scalar_torsion_eigen(E: MetricComplex, involution=None) -> float:
-    """Degree-zero torsion from Laplacian eigenvalues (closed-form route).
+    """Degree-zero torsion from singular values (closed-form route).
+
+    Each differential is taken to orthonormal coordinates, v~_q =
+    L_{q+1}^H v_q L_q^{-H}, and degree q contributes (-1)^(q+1) times the
+    sum of the logs of its nonzero singular values.  Its numerical rank
+    must equal the rank of v_q that ``betti()`` counts; otherwise a zero
+    mode is unresolved and ``IllConditionedError`` names the singular
+    values on both sides of the cut.
 
     With a degree-wise ``involution`` phi (commuting with the differential,
-    isometric) this is the equivariant torsion of phi: each nonzero mode u
-    weights its log by Re u^H phi u in orthonormal coordinates, so degree q
-    contributes tr(phi log' Delta_q).  None means the identity element.
+    isometric) this is the equivariant torsion of phi: each log s weights
+    by Re r^H phi r at its right singular vector r in orthonormal
+    coordinates, so degree q of the Laplacian sum contributes
+    tr(phi log' Delta_q).  None means the identity element.
     """
-    data = hodge_decompose(E)
-    total = 0.0
-    for q, w in enumerate(data.eigenvalues):
-        # hodge_decompose has checked that the first betti[q] are the kernel
-        nonzero = w[data.betti[q]:]
-        g = E.grading_offset + q
-        if len(nonzero):
-            logs = np.log(nonzero)
-            if involution is not None:
-                # phi in orthonormal coordinates y = L^H x: L^H phi L^{-H}
-                lh = data.frames[q].conj().T
-                phi = lh @ involution[q] @ np.linalg.inv(lh)
-                u = data.eigenvectors[q][:, data.betti[q]:]
-                logs = np.einsum("ij,ik,kj->j", u.conj(), phi, u).real * logs
-            total += 0.5 * ((-1.0) ** g) * g * float(np.sum(logs))
+    _require_point_base(E)
+    betti, frames = E.betti(), _cholesky_frames(E)
+    total, rank = 0.0, 0
+    for q, vq in enumerate(E.v):
+        rank = E.dims[q] - betti[q] - rank
+        lh_inv = np.linalg.inv(frames[q].conj().T)
+        _, s, vh, found = ranked_svd(frames[q + 1].conj().T @ vq @ lh_inv)
+        if found != rank:
+            above = s[found - 1] if found else np.inf
+            below = s[found] if found < len(s) else 0.0
+            raise IllConditionedError(
+                f"degree {q}: v has rank {rank} but rank {found} in orthonormal "
+                f"coordinates (singular values {above:.3e} | {below:.3e} at the cut)")
+        logs = np.log(s[:rank])
+        if involution is not None:
+            # phi in orthonormal coordinates y = L^H x: L^H phi L^{-H}
+            phi = frames[q].conj().T @ involution[q] @ lh_inv
+            r = vh[:rank].conj().T
+            logs = np.einsum("ij,ik,kj->j", r.conj(), phi, r).real * logs
+        total += (-1.0) ** (E.grading_offset + q + 1) * float(np.sum(logs))
     return total
 
 

@@ -372,8 +372,8 @@ def equivariant_scalar_torsion(C: Z2Complex, g: str = "reflection") -> float:
 
     (1/2) sum_q (-1)^q q tr(g log' Delta_q), with g the involution
     ("reflection") or the identity: ``hodge.scalar_torsion_eigen`` with
-    the involution as its weight, so its zero modes pass the same
-    kernel-against-rank check.
+    the involution as its weight, read from singular values, so its zero
+    modes pass the same rank check against ``betti()``.
     """
     C.validate()
     if g not in ("identity", "reflection"):

@@ -1,5 +1,6 @@
 """Tests for finite-dimensional Hodge theory and the eigenvalue route."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,63 +11,74 @@ from torsionlab.hodge import (
     chi_primes,
     cohomology_class_basis,
     harmonic_representatives,
-    hodge_decompose,
     induced_gram,
     scalar_torsion_eigen,
 )
 from torsionlab.instances import (
+    random_acyclic_complex,
     random_complex_instance,
     random_invertible,
     random_metric,
     random_two_term,
+    random_unitary,
 )
+from torsionlab.morse import Z2Complex, arc_data, double, doubled_complex
 
 
-class TestHodgeDecompose:
-    def test_two_term_laplacians(self):
-        rng = np.random.default_rng(0)
-        tau = random_invertible(rng, 3)
-        E = MetricComplex([3, 3], [tau], [np.eye(3), np.eye(3)])
-        data = hodge_decompose(E)
-        np.testing.assert_allclose(data.laplacians[0], tau.conj().T @ tau, atol=1e-12)
-        np.testing.assert_allclose(data.laplacians[1], tau @ tau.conj().T, atol=1e-12)
-        s = np.linalg.svd(tau, compute_uv=False)
-        np.testing.assert_allclose(np.sort(data.eigenvalues[0]), np.sort(s ** 2),
-                                   atol=1e-10)
-        assert data.betti == (0, 0)
+def laplacian_route(E, involution=None):
+    """Reference for ``scalar_torsion_eigen``: eigh of each Laplacian
+    Delta_q = v~^H v~ + v~ v~^H in orthonormal coordinates, with the first
+    betti[q] eigenvalues taken as its kernel.  Returns the torsion
+    (1/2) sum_q (-1)^q q tr(phi log' Delta_q) and h-orthonormal harmonic
+    bases per degree."""
+    betti = E.betti()
+    lh = [np.linalg.cholesky(hq).conj().T for hq in E.h]
+    vt = [lh[q + 1] @ vq @ np.linalg.inv(lh[q]) for q, vq in enumerate(E.v)]
+    torsion, harmonics = 0.0, []
+    for q, d in enumerate(E.dims):
+        lap = np.zeros((d, d), dtype=complex)
+        if q < len(vt):
+            lap += vt[q].conj().T @ vt[q]
+        if q > 0:
+            lap += vt[q - 1] @ vt[q - 1].conj().T
+        w, u = np.linalg.eigh(lap)
+        logs = np.log(w[betti[q]:])
+        if involution is not None:
+            phi = lh[q] @ involution[q] @ np.linalg.inv(lh[q])
+            modes = u[:, betti[q]:]
+            logs = np.einsum("ij,ik,kj->j", modes.conj(), phi, modes).real * logs
+        g = E.grading_offset + q
+        torsion += 0.5 * (-1.0) ** g * g * float(np.sum(logs))
+        harmonics.append(np.linalg.solve(lh[q], u[:, :betti[q]]))
+    return torsion, harmonics
 
-    def test_harmonics_are_closed_and_coclosed(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            E = random_complex_instance(rng, length=3, max_dim=4,
-                                        identity_metric=False)
-            data = hodge_decompose(E)
-            for q, basis in enumerate(data.harmonics):
-                if basis.shape[1] == 0:
-                    continue
-                assert basis.shape[1] == data.betti[q]
-                if q < len(E.v):
-                    assert np.linalg.norm(E.v[q] @ basis) < 1e-8
-                if q > 0:
-                    # h-orthogonal to the image of the previous differential
-                    pairing = E.v[q - 1].conj().T @ E.h[q] @ basis
-                    assert np.linalg.norm(pairing) < 1e-8
 
-    def test_harmonic_basis_is_orthonormal_in_h(self):
-        rng = np.random.default_rng(2)
-        E = random_complex_instance(rng, length=2, max_dim=4, identity_metric=False)
-        data = hodge_decompose(E)
-        for q, basis in enumerate(data.harmonics):
-            if basis.shape[1] == 0:
-                continue
-            gram = basis.conj().T @ E.h[q] @ basis
-            np.testing.assert_allclose(gram, np.eye(basis.shape[1]), atol=1e-10)
+def invariant_doubled_complex(rng, rank):
+    """A doubled arc complex under a random metric that its involution
+    preserves, h = (h0 + phi^H h0 phi) / 2."""
+    t1, t2 = random_unitary(rng, rank), random_unitary(rng, rank)
+    C = doubled_complex(double(arc_data((t1, t2), rank=rank)))
+    h = []
+    for phi in C.involution:
+        h0 = random_metric(rng, len(phi))
+        h.append(0.5 * (h0 + phi.conj().T @ h0 @ phi))
+    return Z2Complex(MetricComplex(C.complex.dims, C.complex.v, h), C.involution).validate()
 
-    def test_unresolvable_kernel_raises(self):
-        tau = np.diag([1.0, 2e-6]).astype(complex)
-        E = MetricComplex([2, 2], [tau], [np.eye(2), np.eye(2)])
-        with pytest.raises(IllConditionedError):
-            hodge_decompose(E)
+
+def twisted_z2_complex(rng, length):
+    """E (+) E, for an acyclic E under two random metrics, with
+    phi = 1 (+) -1, moved by a random degree-wise change of basis g: phi
+    has modes of both signs, and phi, v and h share no basis."""
+    E = random_acyclic_complex(rng, length=length, max_rank=2)
+    g = [random_invertible(rng, 2 * d) for d in E.dims]
+    gi = [np.linalg.inv(x) for x in g]
+    v = [g[q + 1] @ np.kron(np.eye(2), vq) @ gi[q] for q, vq in enumerate(E.v)]
+    h = []
+    for q, hq in enumerate(E.h):
+        z = np.zeros_like(hq)
+        h.append(gi[q].conj().T @ np.block([[hq, z], [z, random_metric(rng, len(hq))]]) @ gi[q])
+    phi = [g[q] @ np.kron(np.diag([1.0, -1.0]), np.eye(d)) @ gi[q] for q, d in enumerate(E.dims)]
+    return Z2Complex(MetricComplex([2 * d for d in E.dims], v, h), phi).validate()
 
 
 class TestClassBasis:
@@ -114,9 +126,8 @@ class TestHarmonicRepresentatives:
         rng = np.random.default_rng(6)
         E = random_complex_instance(rng, length=2, max_dim=4, identity_metric=False)
         grams = induced_gram(E)
-        data = hodge_decompose(E)
         reps = harmonic_representatives(E)
-        for q, (g, hbasis, r) in enumerate(zip(grams, data.harmonics, reps)):
+        for q, (g, hbasis, r) in enumerate(zip(grams, laplacian_route(E)[1], reps)):
             if g.shape[0] == 0:
                 continue
             coeff = hbasis.conj().T @ E.h[q] @ r
@@ -141,6 +152,52 @@ class TestScalarTorsion:
         assert scalar_torsion_eigen(odd) == pytest.approx(
             -scalar_torsion_eigen(E), abs=1e-12)
 
+    def test_matches_the_laplacian_reference(self):
+        rng = np.random.default_rng(10)
+        cases = [(random_complex_instance(rng, length=length, max_dim=4,
+                                          identity_metric=False), None)
+                 for length in (2, 3, 4) for _ in range(4)]
+        doubles = [invariant_doubled_complex(rng, rank) for rank in (1, 2, 3)]
+        doubles += [twisted_z2_complex(rng, length) for length in (2, 3)]
+        for C in doubles:
+            cases += [(C.complex, None), (C.complex, C.involution)]
+        for E, phi in cases:
+            assert scalar_torsion_eigen(E, phi) == pytest.approx(
+                laplacian_route(E, phi)[0], abs=1e-10)
+
+    def test_two_term_sigma_sweep_against_mpmath(self):
+        # U diag(1, sigma) W: the error may grow like eps/sigma, the
+        # conditioning of the problem itself, or the route names its gap
+        rng = np.random.default_rng(0)
+        u, w = random_unitary(rng, 2), random_unitary(rng, 2)
+        eps = np.finfo(float).eps
+        for k in range(10):
+            sigma = 10.0 ** -k
+            v = u @ np.diag([1.0, sigma]) @ w
+            with mpmath.workdps(50):
+                m = [[mpmath.mpc(x.real, x.imag) for x in row] for row in v]
+                truth = float(-mpmath.log(abs(m[0][0] * m[1][1] - m[0][1] * m[1][0])))
+            E = MetricComplex([2, 2], [v], [np.eye(2, dtype=complex)] * 2)
+            try:
+                got = scalar_torsion_eigen(E)
+            except IllConditionedError as err:
+                assert "singular values" in str(err), k
+                continue
+            assert abs(got - truth) <= 10 * eps / sigma, k
+
+    def test_unresolvable_kernel_raises(self):
+        # v has rank 2, but the metric scales its second singular value to
+        # 3.2e-11 in orthonormal coordinates, below the rank cut
+        v = np.diag([1.0, 1e-9]).astype(complex)
+        E = MetricComplex([2, 2], [v], [np.eye(2), np.diag([1.0, 1e-3])])
+        with pytest.raises(IllConditionedError, match="singular values"):
+            scalar_torsion_eigen(E)
+        # singular values resolve diag(1, 2e-6), whose Laplacian eigenvalue
+        # 4e-12 the former route cut as a zero mode
+        tau = np.diag([1.0, 2e-6]).astype(complex)
+        E = MetricComplex([2, 2], [tau], [np.eye(2), np.eye(2)])
+        assert scalar_torsion_eigen(E) == pytest.approx(-np.log(2e-6), abs=1e-12)
+
 
 class TestRankPolicy:
     def test_every_rank_decision_follows_the_one_threshold(self, monkeypatch):
@@ -148,7 +205,6 @@ class TestRankPolicy:
         E = MetricComplex([2, 2], [np.diag([1.0, 1e-4])], [np.eye(2)] * 2)
         assert E.betti() == (1, 1)
         assert tuple(z.shape[1] for z in cohomology_class_basis(E)) == (1, 1)
-        assert hodge_decompose(E).betti == (1, 1)
         assert scalar_torsion_eigen(E) == 0.0
 
 
@@ -163,7 +219,6 @@ class TestChiSums:
 
     def test_acyclic_has_zero_chi_prime(self):
         rng = np.random.default_rng(9)
-        from torsionlab.instances import random_acyclic_complex
         E = random_acyclic_complex(rng, length=3)
         chi, chi_prime, d_E, d_H = chi_primes(E)
         assert chi == 0

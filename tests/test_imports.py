@@ -41,11 +41,12 @@ def linalg_calls(path):
 
 
 def test_one_rank_policy_and_one_eigenvalue_route():
-    # singular values are cut only by the rank policy in complexes.py, and
-    # the modules built on hodge's eigenvalue route keep no eigen solver
+    # singular values are cut only by the rank policy in complexes.py;
+    # hodge's eigenvalue route reads singular values, and neither it nor
+    # the modules built on it keep an eigen solver
     files = {f.name: linalg_calls(f) for f in sorted((ROOT / "src").rglob("*.py"))}
     assert sorted(name for name, calls in files.items() if "svd" in calls) == ["complexes.py"]
-    for name in ("morse.py", "spectral.py", "glue.py"):
+    for name in ("hodge.py", "morse.py", "spectral.py", "glue.py"):
         assert not {c for c in files[name] if c.startswith("eig")}, name
 
 

@@ -254,17 +254,28 @@ class TestEquivariantTorsion:
                 assert lhs == pytest.approx(t_plus + chi * t_minus, abs=1e-12)
 
     def test_unresolved_zero_mode_raises(self):
-        # v = diag(1, 1e-6) has rank 2 but a Laplacian eigenvalue 1e-12,
-        # which the kernel-against-rank check of hodge_decompose refuses
-        v = np.diag([1.0, 1e-6]).astype(complex)
+        # v = diag(1, 1e-9) has rank 2, but under h_1 = diag(1, 1e-3) its
+        # second singular value in orthonormal coordinates is 3.2e-11,
+        # below the rank cut: the zero mode is unresolved
+        v = np.diag([1.0, 1e-9]).astype(complex)
         phi = np.diag([1.0, -1.0]).astype(complex)
-        E = MetricComplex([2, 2], [v], [np.eye(2, dtype=complex)] * 2)
+        h = [np.eye(2, dtype=complex), np.diag([1.0, 1e-3]).astype(complex)]
+        E = MetricComplex([2, 2], [v], h)
         C = Z2Complex(E, [phi, phi]).validate()
         with pytest.raises(IllConditionedError):
             scalar_torsion_eigen(E)
         for element in ("identity", "reflection"):
             with pytest.raises(IllConditionedError):
                 equivariant_scalar_torsion(C, element)
+        # diag(1, 1e-6) under identity metrics is resolved: its singular
+        # value 1e-6 sits in the phi = -1 eigenspace
+        v = np.diag([1.0, 1e-6]).astype(complex)
+        E = MetricComplex([2, 2], [v], [np.eye(2, dtype=complex)] * 2)
+        C = Z2Complex(E, [phi, phi]).validate()
+        assert scalar_torsion_eigen(E) == pytest.approx(-np.log(1e-6), abs=1e-12)
+        for element, chi in (("identity", 1.0), ("reflection", -1.0)):
+            assert equivariant_scalar_torsion(C, element) == pytest.approx(
+                -chi * np.log(1e-6), abs=1e-12)
 
 
 class TestThreeColumnAssembly:
