@@ -119,6 +119,22 @@ class TestHarmonicRepresentatives:
             sol, *_ = np.linalg.lstsq(E.v[q - 1], diff, rcond=None)
             assert np.linalg.norm(E.v[q - 1] @ sol - diff) < 1e-8
 
+    def test_closed_and_coclosed(self):
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            E = random_complex_instance(rng, length=3, max_dim=4,
+                                        identity_metric=False)
+            for q, r in enumerate(harmonic_representatives(E)):
+                if r.shape[1] == 0:
+                    continue
+                assert r.shape[1] == E.betti()[q]
+                if q < len(E.v):
+                    assert np.linalg.norm(E.v[q] @ r) < 1e-8
+                if q > 0:
+                    # h-orthogonal to the image of the previous differential
+                    pairing = E.v[q - 1].conj().T @ E.h[q] @ r
+                    assert np.linalg.norm(pairing) < 1e-8
+
     def test_gram_matches_hodge_determinant(self):
         # any two bases of the harmonic space have Gram matrices with
         # determinants in the ratio |det(change of basis)|^2; compare
@@ -140,6 +156,17 @@ class TestScalarTorsion:
         rng = np.random.default_rng(7)
         E = random_two_term(rng, 4)
         expected = -np.log(np.abs(np.linalg.det(E.v[0])))
+        assert scalar_torsion_eigen(E) == pytest.approx(expected, abs=1e-10)
+
+    def test_two_term_metric_anomaly(self):
+        # log det' Delta_0 = log |det tau|^2 + log det h_1 - log det h_0
+        rng = np.random.default_rng(0)
+        tau = random_invertible(rng, 3)
+        h = [random_metric(rng, 3), random_metric(rng, 3)]
+        E = MetricComplex([3, 3], [tau], h)
+        assert E.betti() == (0, 0)
+        logdet = [np.linalg.slogdet(hq)[1] for hq in h]
+        expected = -np.log(np.abs(np.linalg.det(tau))) - 0.5 * (logdet[1] - logdet[0])
         assert scalar_torsion_eigen(E) == pytest.approx(expected, abs=1e-10)
 
     def test_grading_offset_sign(self):
