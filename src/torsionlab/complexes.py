@@ -51,6 +51,9 @@ __all__ = [
     "numerical_rank",
     "ranked_svd",
     "rank_split",
+    "SPAN_THRESHOLD",
+    "solve_in_span",
+    "metric_frame",
 ]
 
 # Dyadic windows the t > 1 half of a torsion form may walk before it gives up.
@@ -113,6 +116,42 @@ def rank_split(m: np.ndarray, scale=None):
     split at its numerical rank."""
     u, _, vh, rank = ranked_svd(m, scale)
     return u[:, :rank], vh[rank:].conj().T
+
+
+# Every span-membership decision is made here: rhs lies in span(basis) when
+# its least-squares residual is at most SPAN_THRESHOLD * max(scale, 1), with
+# scale |rhs| unless the caller fixes one.
+
+SPAN_THRESHOLD = 1e-8
+
+
+def solve_in_span(basis: np.ndarray, rhs: np.ndarray, error, what: str, scale=None):
+    """Coordinates x, one column per column of rhs, with basis @ x = rhs.
+
+    Past the span cut it raises ``error`` with the message ``what`` and the
+    residual.  An empty basis leaves the residual |rhs|."""
+    rhs = rhs.reshape(basis.shape[0], -1)
+    if basis.shape[1]:
+        sol, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
+    else:
+        sol = np.zeros((0, rhs.shape[1]), dtype=complex)
+    err = np.linalg.norm(basis @ sol - rhs)
+    if scale is None:
+        scale = np.linalg.norm(rhs)
+    if err > SPAN_THRESHOLD * max(scale, 1.0):
+        raise error(f"{what} (residual {err:.2e})")
+    return sol
+
+
+def metric_frame(h: np.ndarray):
+    """L^H and its inverse for the Cholesky factor L of one metric block
+    h = L L^H, so that y = L^H x are orthonormal coordinates.  A block
+    that is exactly the identity is its own frame, unfactorized."""
+    eye = np.eye(h.shape[-1], dtype=complex)
+    if np.array_equal(h, eye):  # callers only read frames, so one array serves both
+        return eye, eye
+    lh = np.linalg.cholesky(h).conj().T
+    return lh, np.linalg.inv(lh)
 
 
 def _as_metric_blocks(h, dims, base):
@@ -543,7 +582,7 @@ def tilde_f(E: MetricComplex, h0, h1, path: str = "linear",
             if blk.shape[-1]:
                 _check_cone(np.linalg.eigvalsh(blk))
         factor = 0.5 * _solved_total(E, list(zip(hl, hd)))
-        half = 0.5 * omega(E, hl).regular()
+        half = 0.5 * omega(E, hl).regular(even=True)
         msq = half @ half
         col = matrix_function(msq, "exp")[..., :E.total_dim] @ factor
         return f_prime_supertrace(alg, msq, col, signs) * rescale

@@ -31,7 +31,7 @@ from .analytic import (
     l2_cohomology,
     scalar_torsion,
 )
-from .complexes import MetricComplex, _mat_from_json, _mat_to_json, rank_split, tilde_f
+from .complexes import MetricComplex, _mat_from_json, _mat_to_json, rank_split, solve_in_span, tilde_f
 from .hodge import cohomology_class_basis, induced_gram, scalar_torsion_eigen
 from .morse import (
     arc_data,
@@ -247,13 +247,8 @@ def _morse_l2_grams(s: GluingScenario, D, class_reps):
         # harmonic representatives have period coordinates proportional
         # to the arc lengths; solve class = harmonic + coboundary
         harm = np.concatenate([(l1 / big_l) * fixed, (l2 / big_l) * fixed], axis=0)
-        stacked = np.concatenate([harm, full.v[0]], axis=1)
-        sol, *_ = np.linalg.lstsq(stacked, reps, rcond=None)
-        err = np.linalg.norm(stacked @ sol - reps)
-        if err > 1e-8 * max(np.linalg.norm(reps), 1.0):
-            raise GluingError(
-                f"degree-one class has no harmonic representative (residual {err:.2e})")
-        coeff = sol[:k]
+        coeff = solve_in_span(np.concatenate([harm, full.v[0]], axis=1), reps, GluingError,
+                              "degree-one class has no harmonic representative")[:k]
         return (1.0 / big_l) * (coeff.conj().T @ coeff)
 
     grams = [

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import CircleBase
-from .complexes import MetricComplex, _chi_sums, rank_split, ranked_svd
+from .complexes import MetricComplex, _chi_sums, metric_frame, rank_split, ranked_svd
 
 __all__ = [
     "cohomology_class_basis",
@@ -39,18 +39,8 @@ class IllConditionedError(RuntimeError):
 
 def _require_point_base(E: MetricComplex):
     if isinstance(E.base, CircleBase):
-        raise ValueError("Hodge decomposition is implemented for point-base complexes")
-
-
-def _cholesky_frames(E: MetricComplex):
-    """Cholesky factors L_q of the metrics; y = L^H x are orthonormal coords."""
-    frames = []
-    for hq in E.h:
-        if hq.shape[0] == 0:
-            frames.append(np.zeros((0, 0), dtype=complex))
-            continue
-        frames.append(np.linalg.cholesky(hq))
-    return frames
+        raise ValueError("the eigenvalue route and harmonic representatives are "
+                         "implemented for point-base complexes")
 
 
 def cohomology_class_basis(E: MetricComplex):
@@ -79,7 +69,6 @@ def harmonic_representatives(E: MetricComplex, class_basis=None):
     _require_point_base(E)
     if class_basis is None:
         class_basis = cohomology_class_basis(E)
-    frames = _cholesky_frames(E)
     scale = max([np.linalg.norm(vq) for vq in E.v], default=1.0)
     out = []
     for q, z in enumerate(class_basis):
@@ -92,7 +81,8 @@ def harmonic_representatives(E: MetricComplex, class_basis=None):
         if lift.shape[1] == 0:
             out.append(z.copy())
             continue
-        a, *_ = np.linalg.lstsq(frames[q].conj().T @ lift, frames[q].conj().T @ z, rcond=None)
+        lh = metric_frame(E.h[q])[0]
+        a, *_ = np.linalg.lstsq(lh @ lift, lh @ z, rcond=None)
         out.append(z - lift @ a)
     return out
 
@@ -120,12 +110,12 @@ def scalar_torsion_eigen(E: MetricComplex, involution=None) -> float:
     tr(phi log' Delta_q).  None means the identity element.
     """
     _require_point_base(E)
-    betti, frames = E.betti(), _cholesky_frames(E)
+    betti, frames = E.betti(), [metric_frame(hq) for hq in E.h]
     total, rank = 0.0, 0
     for q, vq in enumerate(E.v):
         rank = E.dims[q] - betti[q] - rank
-        lh_inv = np.linalg.inv(frames[q].conj().T)
-        _, s, vh, found = ranked_svd(frames[q + 1].conj().T @ vq @ lh_inv)
+        lh, lh_inv = frames[q]
+        _, s, vh, found = ranked_svd(frames[q + 1][0] @ vq @ lh_inv)
         if found != rank:
             above = s[found - 1] if found else np.inf
             below = s[found] if found < len(s) else 0.0
@@ -135,7 +125,7 @@ def scalar_torsion_eigen(E: MetricComplex, involution=None) -> float:
         logs = np.log(s[:rank])
         if involution is not None:
             # phi in orthonormal coordinates y = L^H x: L^H phi L^{-H}
-            phi = frames[q].conj().T @ involution[q] @ lh_inv
+            phi = lh @ involution[q] @ lh_inv
             r = vh[:rank].conj().T
             logs = np.einsum("ij,ik,kj->j", r.conj(), phi, r).real * logs
         total += (-1.0) ** (E.grading_offset + q + 1) * float(np.sum(logs))

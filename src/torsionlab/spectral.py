@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
-from .complexes import MetricComplex, check_finite, rank_split, torsion_form
+from .complexes import MetricComplex, check_finite, metric_frame, rank_split, solve_in_span, torsion_form
 from .hodge import (
     cohomology_class_basis,
     induced_gram,
@@ -43,11 +44,6 @@ __all__ = [
     "ThreeColumnData",
     "three_column_les",
 ]
-
-# relative residual allowed when a page vector is placed in a span; ranks
-# are decided by the package-wide policy in ``complexes``
-_TOL = 1e-8
-
 
 class DoubleComplexError(ValueError):
     """Invalid bigraded data (differentials fail to anticommute, etc.)."""
@@ -180,14 +176,20 @@ def _graded_sum(dims: dict, maps, metrics=None, degree=sum) -> MetricComplex:
     return MetricComplex(sizes, v, h)
 
 
-def total_complex(D: DoubleComplexData) -> MetricComplex:
-    """Direct-sum complex over the total degree, differential dv + hv."""
+def _total_blocks(D: DoubleComplexData):
+    """The spaces of D's total complex, by total degree and then ascending
+    p, and its maps dv and hv between them, for ``_graded_sum``."""
     D.validate()
     dims = {(p, n - p): D.dim(p, n - p)
             for n in range(D.P + D.Q - 1) for p in range(D.P) if 0 <= n - p < D.Q}
     maps = [((p, q), (p, q + 1), D.dv_at(p, q)) for p, q in dims if q + 1 < D.Q]
     maps += [((p, q), (p + 1, q), D.hv_at(p, q)) for p, q in dims if p + 1 < D.P]
-    return _graded_sum(dims, maps, D.h)
+    return dims, maps
+
+
+def total_complex(D: DoubleComplexData) -> MetricComplex:
+    """Direct-sum complex over the total degree, differential dv + hv."""
+    return _graded_sum(*_total_blocks(D), D.h)
 
 
 # ---- spectral pages -----------------------------------------------------
@@ -217,62 +219,35 @@ class SpectralPage:
 
 
 class _Ambient:
-    """Orthonormalized total space of a double complex, with block slices."""
+    """The total complex of D as one operator on its metric-orthonormalized
+    space: each map m from src to dst becomes L_dst^H m L_src^{-H} with the
+    blocks' ``metric_frame``s.  Degree n's blocks (p, n - p) lie in order of
+    ascending p, so a range of p is one slice."""
 
     def __init__(self, D: DoubleComplexData):
-        self.D = D
-        self.offsets = {}
-        total = 0
-        for p in range(D.P):
-            for q in range(D.Q):
-                self.offsets[(p, q)] = total
-                total += D.dim(p, q)
-        self.N = total
-        # Cholesky frames: y = L^H x are orthonormal coordinates per block;
-        # a map m from src to dst becomes L_dst^H m (L_src^H)^{-1}
-        frames, inverse = {}, {}
-        for p in range(D.P):
-            for q in range(D.Q):
-                if D.dim(p, q):
-                    frames[(p, q)] = np.linalg.cholesky(D.h_at(p, q)).conj().T
-                    inverse[(p, q)] = np.linalg.inv(frames[(p, q)])
+        dims, maps = _total_blocks(D)
+        frames = {key: metric_frame(D.h_at(*key)) for key in dims}
+        total = _graded_sum(dims, [(src, dst, frames[dst][0] @ m @ frames[src][1])
+                                   for src, dst, m in maps])
+        s = list(accumulate(total.dims, initial=0))
+        self.N = s[-1]
         self.full = _zeros(self.N, self.N)
+        for n, vn in enumerate(total.v):
+            self.full[s[n + 1]:s[n + 2], s[n]:s[n + 1]] = vn
+        # cuts[n][p]: start of block (p, n - p); cuts[n][P] is the end of degree n
+        self.cuts = [list(accumulate((D.dim(p, n - p) for p in range(D.P)), initial=s[n]))
+                     for n in range(len(s))]
 
-        def place(src, dst, m):
-            # an absent map is zero and leaves its block of ``full`` zero
-            if m is None or m.size == 0:
-                return
-            mt = frames[dst] @ m @ inverse[src]
-            i, j = self.offsets[dst], self.offsets[src]
-            self.full[i:i + mt.shape[0], j:j + mt.shape[1]] += mt
+    def span(self, p_lo, p_hi, n) -> slice:
+        """Indices of the blocks (p, n - p) with p_lo <= p < p_hi; p outside
+        0..P is clamped, as those blocks are empty."""
+        cuts = self.cuts[n]
+        lo, hi = (cuts[min(max(p, 0), len(cuts) - 1)] for p in (p_lo, p_hi))
+        return slice(lo, hi)
 
-        for p in range(D.P):
-            for q in range(D.Q):
-                if q + 1 < D.Q:
-                    place((p, q), (p, q + 1), D.dv.get((p, q)))
-                if p + 1 < D.P:
-                    place((p, q), (p + 1, q), D.hv.get((p, q)))
-
-    def block_columns(self, blocks):
-        """Identity columns spanning the listed (p, q) blocks."""
-        cols = []
-        for p, q in blocks:
-            off = self.offsets[(p, q)]
-            cols.extend(range(off, off + self.D.dim(p, q)))
-        out = _zeros(self.N, len(cols))
-        for j, c in enumerate(cols):
-            out[c, j] = 1.0
-        return out
-
-    def filtration_blocks(self, p_min, n):
-        return [(p, n - p) for p in range(max(p_min, 0), self.D.P)
-                if 0 <= n - p < self.D.Q]
-
-    def low_projector_rows(self, p_cut, n):
-        """Row selector for blocks at total degree n with p < p_cut."""
-        blocks = [(p, n - p) for p in range(0, min(p_cut, self.D.P))
-                  if 0 <= n - p < self.D.Q]
-        return self.block_columns(blocks).conj().T
+    def columns(self, sl: slice):
+        """Identity columns spanning the indices of ``sl``."""
+        return np.eye(self.N, sl.stop - sl.start, -sl.start, dtype=complex)
 
 
 def _null_columns(constraint: np.ndarray, basis: np.ndarray):
@@ -292,7 +267,6 @@ def pages(D: DoubleComplexData, filtration: str = "columns", r_max: int | None =
         return pages(D.transpose(), "columns", r_max)
     if filtration != "columns":
         raise ValueError(f"unknown filtration {filtration!r}")
-    D.validate()
     if r_max is None:
         r_max = max(D.P, 2)
     amb = _Ambient(D)
@@ -306,10 +280,9 @@ def pages(D: DoubleComplexData, filtration: str = "columns", r_max: int | None =
         n = p + q
         if not (0 <= n <= D.P + D.Q - 2):
             return _zeros(amb.N, 0)
-        basis = amb.block_columns(amb.filtration_blocks(max(p, 0), n))
+        basis = amb.columns(amb.span(p, D.P, n))
         # the cut p + r uses the unclamped filtration index
-        rows = amb.low_projector_rows(p + r, n + 1)
-        return _null_columns(rows @ amb.full, basis)
+        return _null_columns(amb.full[amb.span(0, p + r, n + 1)], basis)
 
     @cache
     def b_space(r, p, q):
@@ -323,10 +296,10 @@ def pages(D: DoubleComplexData, filtration: str = "columns", r_max: int | None =
     # to the next page restricts to the harmonic subspace in page
     # coordinates.  (Minimal-norm ambient representatives would give a
     # different, filtration-inflated metric from page two on.)
-    spaces = {(p, q): amb.block_columns([(p, q)])
+    spaces = {(p, q): amb.columns(amb.span(p, p + 1, p + q))
               for p in range(D.P) for q in range(D.Q)}
     zreps = dict(spaces)
-    scale = max(np.linalg.norm(amb.full), 1.0)
+    scale = np.linalg.norm(amb.full)
     out = []
     for r in range(r_max + 1):
         diffs = {}
@@ -337,13 +310,9 @@ def pages(D: DoubleComplexData, filtration: str = "columns", r_max: int | None =
                 continue
             w = amb.full @ zreps[(p, q)]
             b_tgt = b_space(r, *tgt_key)
-            stacked = np.concatenate([tgt, b_tgt], axis=1)
-            coords, *_ = np.linalg.lstsq(stacked, w, rcond=None)
-            err = np.linalg.norm(stacked @ coords - w)
-            if err > _TOL * scale:
-                raise DoubleComplexError(
-                    f"page {r} differential image escapes its target at "
-                    f"{(p, q)} (residual {err:.2e})")
+            coords = solve_in_span(
+                np.concatenate([tgt, b_tgt], axis=1), w, DoubleComplexError,
+                f"page {r} differential image escapes its target at {(p, q)}", scale)
             diffs[(p, q)] = coords[:tgt.shape[1]]
         out.append(SpectralPage(r, "columns", dict(spaces), diffs))
         if r == r_max:  # page r_max + 1 is not asked for
@@ -367,17 +336,15 @@ def pages(D: DoubleComplexData, filtration: str = "columns", r_max: int | None =
             # representative inside Z_{r+1} of the same class, corrected
             # within the class modulo the page-r boundary space
             z = zreps[(p, q)] @ harm
-            rows = amb.low_projector_rows(p + r + 1, p + q + 1) @ amb.full
+            rows = amb.full[amb.span(0, p + r + 1, p + q + 1)]
             b_src = b_space(r, p, q)
-            if rows.shape[0] and b_src.shape[1] and z.shape[1]:
-                corr, *_ = np.linalg.lstsq(rows @ b_src, -(rows @ z), rcond=None)
-                z = z + b_src @ corr
             if rows.shape[0] and z.shape[1]:
-                resid = np.linalg.norm(rows @ z)
-                if resid > _TOL * scale:
-                    raise DoubleComplexError(
-                        f"no filtration-compatible representative at page {r + 1}, "
-                        f"{(p, q)} (residual {resid:.2e})")
+                corr = solve_in_span(
+                    rows @ b_src, -(rows @ z), DoubleComplexError,
+                    f"no filtration-compatible representative at page {r + 1}, {(p, q)}",
+                    scale)
+                if b_src.shape[1]:
+                    z = z + b_src @ corr
             nxt_z[(p, q)] = z
         spaces, zreps = nxt, nxt_z
     return out
@@ -446,12 +413,7 @@ def compose(E: MetricComplex, Eprime: MetricComplex) -> MetricComplex:
 
 
 def _solve_in_span(basis: np.ndarray, rhs: np.ndarray):
-    rhs = rhs.reshape(basis.shape[0], -1)
-    sol, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
-    err = np.linalg.norm(basis @ sol - rhs)
-    if err > 1e-8 * max(np.linalg.norm(rhs), 1.0):
-        raise DoubleComplexError(f"vector not in expected span (residual {err:.2e})")
-    return sol
+    return solve_in_span(basis, rhs, DoubleComplexError, "vector not in expected span")
 
 
 def _class_coords(reps: np.ndarray, image_of: np.ndarray, vec: np.ndarray):

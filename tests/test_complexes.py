@@ -24,24 +24,31 @@ from torsionlab.complexes import (
     char_form,
     complex_from_json,
     complex_to_json,
+    metric_frame,
     numerical_rank,
     omega,
     rank_split,
     rescale_metric,
+    solve_in_span,
     tilde_f,
     torsion_form,
     x_t,
 )
+from torsionlab.cli import main
+from torsionlab.glue import GluingError, GluingScenario, verify_morse_side
 from torsionlab.hodge import induced_gram, scalar_torsion_eigen
 from torsionlab.instances import (
     random_circle_metric_family,
     random_circle_two_term,
     random_complex_instance,
+    random_exact_row_double_complex,
     random_invertible,
     random_metric,
     random_unitary,
 )
+from torsionlab.morse import split_circle_data, three_column_double
 from torsionlab.quad import QuadratureError, QuadratureSpec, adaptive_quad
+from torsionlab.spectral import DoubleComplexError, pages, three_column_les
 
 
 def two_term(tau, h0=None, h1=None, base=None):
@@ -642,6 +649,70 @@ class TestRankPolicy:
         col, null = rank_split(np.zeros(shape, dtype=complex))
         assert col.shape == (shape[0], 0)
         np.testing.assert_array_equal(null, np.eye(shape[1]))
+
+
+class SpanProbe(ValueError):
+    """A caller's own exception type, for the span cut's raise."""
+
+
+class TestSpanCut:
+    def test_in_span_coordinates_reproduce_rhs(self):
+        rng = np.random.default_rng(41)
+        basis = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        x = rng.standard_normal((3, 2))
+        sol = solve_in_span(basis, basis @ x, SpanProbe, "probe")
+        assert sol.shape == (3, 2)
+        np.testing.assert_allclose(basis @ sol, basis @ x, atol=1e-13)
+
+    def test_out_of_span_raises_the_callers_error(self):
+        basis = np.eye(3, 2, dtype=complex)
+        with pytest.raises(SpanProbe, match=r"probe \(residual 1\.00e-03\)"):
+            solve_in_span(basis, np.array([1.0, 1.0, 1e-3]), SpanProbe, "probe")
+
+    def test_explicit_scale_is_honoured(self):
+        # residual 1e-6: above the cut at scale |rhs| = 1, below it at 1e3
+        basis, rhs = np.eye(2, 1, dtype=complex), np.array([1.0, 1e-6])
+        with pytest.raises(SpanProbe):
+            solve_in_span(basis, rhs, SpanProbe, "probe")
+        np.testing.assert_array_equal(
+            solve_in_span(basis, rhs, SpanProbe, "probe", scale=1e3), [[1.0]])
+        # and a small scale does not lower the cut below its unit floor
+        solve_in_span(basis, np.array([1.0, 5e-9]), SpanProbe, "probe", scale=1e-6)
+
+    def test_empty_basis_leaves_the_residual_of_rhs(self):
+        basis = np.zeros((2, 0), dtype=complex)
+        assert solve_in_span(basis, np.array([5e-9, 0.0]), SpanProbe, "probe").shape == (0, 1)
+        with pytest.raises(SpanProbe, match=r"residual 5\.00e-01"):
+            solve_in_span(basis, np.array([0.3, 0.4]), SpanProbe, "probe")
+
+    def test_every_caller_raises_its_own_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(complexes, "SPAN_THRESHOLD", -1.0)  # every solve fails
+        D = random_exact_row_double_complex(np.random.default_rng(6))
+        with pytest.raises(DoubleComplexError, match="escapes its target"):
+            pages(D)
+        with pytest.raises(DoubleComplexError, match="vector not in expected span"):
+            three_column_les(three_column_double(split_circle_data(np.eye(1))))
+        # the L2 Grams run before the long exact sequence
+        with pytest.raises(GluingError, match="no harmonic representative"):
+            verify_morse_side(GluingScenario("circle", 2.0, 0.5, holonomy=np.eye(1)))
+        assert main(["verify", "spectral"]) == 3
+        assert "escapes its target" in capsys.readouterr().err
+
+
+class TestMetricFrame:
+    def test_frame_factors_the_metric(self):
+        h = random_metric(np.random.default_rng(42), 4)
+        lh, lh_inv = metric_frame(h)
+        np.testing.assert_allclose(lh.conj().T @ lh, h, atol=1e-13)
+        np.testing.assert_allclose(lh @ lh_inv, np.eye(4), atol=1e-13)
+        np.testing.assert_array_equal(lh, np.triu(lh))
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_identity_block_matches_the_cholesky_route(self, n):
+        lh, lh_inv = metric_frame(np.eye(n, dtype=complex))
+        chol = np.linalg.cholesky(np.eye(n, dtype=complex)).conj().T
+        np.testing.assert_array_equal(lh, chol)
+        np.testing.assert_array_equal(lh_inv, np.linalg.inv(chol))
 
 
 class TestValidation:

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from torsionlab import complexes
+from torsionlab import cli, complexes
 from torsionlab.complexes import MetricComplex
 from torsionlab.hodge import (
     IllConditionedError,
@@ -16,6 +16,7 @@ from torsionlab.hodge import (
 )
 from torsionlab.instances import (
     random_acyclic_complex,
+    random_circle_two_term,
     random_complex_instance,
     random_invertible,
     random_metric,
@@ -224,6 +225,17 @@ class TestScalarTorsion:
         tau = np.diag([1.0, 2e-6]).astype(complex)
         E = MetricComplex([2, 2], [tau], [np.eye(2), np.eye(2)])
         assert scalar_torsion_eigen(E) == pytest.approx(-np.log(2e-6), abs=1e-12)
+
+    def test_circle_base_is_rejected_as_malformed(self, monkeypatch, capsys):
+        # the route is for point bases; on a circle it is a ValueError, exit 2
+        E = random_circle_two_term(np.random.default_rng(3), grid=8)
+        for route in (scalar_torsion_eigen, harmonic_representatives):
+            with pytest.raises(ValueError, match="eigenvalue route and harmonic "
+                               "representatives are implemented for point-base"):
+                route(E)
+        monkeypatch.setattr(cli, "run_verify", lambda *a, **k: scalar_torsion_eigen(E))
+        assert cli.main(["verify", "finite"]) == 2
+        assert "point-base complexes" in capsys.readouterr().err
 
 
 class TestRankPolicy:

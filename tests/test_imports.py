@@ -50,6 +50,21 @@ def test_one_rank_policy_and_one_eigenvalue_route():
         assert not {c for c in files[name] if c.startswith("eig")}, name
 
 
+def test_one_metric_frame_and_one_span_cut():
+    # metric frames come from complexes.metric_frame alone (instances.py,
+    # the random-instance generator, inverts its own change-of-basis
+    # matrices); span membership is complexes.solve_in_span's cut alone
+    files = {f.name: linalg_calls(f) for f in sorted((ROOT / "src").rglob("*.py"))}
+    for call in ("cholesky", "inv"):
+        assert sorted(name for name, calls in files.items()
+                      if call in calls and name != "instances.py") == ["complexes.py"], call
+    for name in ("spectral.py", "glue.py"):
+        assert "lstsq" not in files[name], name
+        tree = ast.parse((ROOT / "src" / "torsionlab" / name).read_text())
+        assert not [n for n in ast.walk(tree)
+                    if isinstance(n, ast.Constant) and n.value == 1e-8], name
+
+
 def test_torsion_integrands_never_form_f_prime():
     # the full product (1 + 2a^2) e^{a^2} is the tests' reference alone:
     # complexes reads its supertrace through algebra.f_prime_supertrace
