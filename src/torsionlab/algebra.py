@@ -52,6 +52,7 @@ __all__ = [
     "FormMatrix",
     "regular_supertrace",
     "f_prime_supertrace",
+    "f_prime_supertrace_at_zero",
     "phi_rescale",
     "matrix_function",
     "exterior_d",
@@ -439,6 +440,18 @@ def f_prime_supertrace(algebra, msq: np.ndarray, col: np.ndarray, weights) -> np
     n = len(weights)
     diagonals = np.diagonal(_key_rows(algebra, col, n), axis1=-2, axis2=-1) + 2.0 * np.einsum(
         "...bij,...ji->...bi", _key_rows(algebra, msq, n), col)
+    return _trace_rows(algebra, diagonals @ weights)
+
+
+def f_prime_supertrace_at_zero(algebra, col: np.ndarray, weights) -> np.ndarray:
+    """``f_prime_supertrace`` at a = 0 for an even-part representation:
+    msq = 0 and e^0 = I, so with R's first block column C = ``col`` zero
+    below its first block, the supertrace of f'(0) R is that of the block
+    ``col`` (..., n, n) in the degree-0 coefficient, read without forming
+    a regular representation."""
+    n = len(weights)
+    diagonals = np.zeros(col.shape[:-2] + (len(_even_keys(algebra)), n), dtype=complex)
+    diagonals[..., 0, :] = np.diagonal(col, axis1=-2, axis2=-1)
     return _trace_rows(algebra, diagonals @ weights)
 
 

@@ -19,7 +19,7 @@ map tau and orthonormal metrics has degree-zero torsion -log|det tau|.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .algebra import (
     FormMatrix,
     PHI_ROOT,
     f_prime_supertrace,
+    f_prime_supertrace_at_zero,
     matrix_function,
     phi_rescale,
     regular_supertrace,
@@ -98,24 +99,33 @@ def numerical_rank(s, scale=None) -> int:
     return int(np.count_nonzero(s > RANK_THRESHOLD * max(scale, 1.0)))
 
 
-def ranked_svd(m: np.ndarray, scale=None):
-    """The SVD factors u, s, vh of m and its numerical rank.
+# The decomposition below is the only call of the SVD.  A
+# ``MetricComplex`` stores it once per differential.
 
-    The factors are the reduced ones, except that a wide m keeps its full
-    vh, whose trailing rows span its null space."""
+
+def _svd_factors(m: np.ndarray):
+    """The SVD factors u, s, vh of m: the reduced ones, except that a wide
+    m keeps its full vh, whose trailing rows span its null space."""
     rows, cols = m.shape
     if rows == 0 or cols == 0:
-        return (np.zeros((rows, 0), dtype=complex), np.zeros(0),
-                np.eye(cols, dtype=complex), 0)
-    u, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
+        return np.zeros((rows, 0), dtype=complex), np.zeros(0), np.eye(cols, dtype=complex)
+    return np.linalg.svd(m, full_matrices=rows < cols)
+
+
+def ranked_svd(m: np.ndarray, scale=None):
+    """The SVD factors u, s, vh of m (``_svd_factors``) and its numerical rank."""
+    u, s, vh = _svd_factors(m)
     return u, s, vh, numerical_rank(s, scale)
+
+
+def _split(u, s, vh, rank):
+    return u[:, :rank], vh[rank:].conj().T
 
 
 def rank_split(m: np.ndarray, scale=None):
     """Orthonormal bases of the column space and of the null space of m,
     split at its numerical rank."""
-    u, _, vh, rank = ranked_svd(m, scale)
-    return u[:, :rank], vh[rank:].conj().T
+    return _split(*ranked_svd(m, scale))
 
 
 # Every span-membership decision is made here: rhs lies in span(basis) when
@@ -146,7 +156,8 @@ def solve_in_span(basis: np.ndarray, rhs: np.ndarray, error, what: str, scale=No
 def metric_frame(h: np.ndarray):
     """L^H and its inverse for the Cholesky factor L of one metric block
     h = L L^H, so that y = L^H x are orthonormal coordinates.  A block
-    that is exactly the identity is its own frame, unfactorized."""
+    that is exactly the identity is its own frame, unfactorized: one
+    identity array is both, so ``lh is lh_inv`` exactly then."""
     eye = np.eye(h.shape[-1], dtype=complex)
     if np.array_equal(h, eye):  # callers only read frames, so one array serves both
         return eye, eye
@@ -191,6 +202,8 @@ class MetricComplex:
     base: object = None
     omega_data: object = None
     grading_offset: int = 0
+    # the store: SVD factors of v[i] and frames of h[q], filled on first use
+    _store: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.dims = [int(d) for d in self.dims]
@@ -255,10 +268,36 @@ class MetricComplex:
                     raise ComplexDataError(f"metric {i} is not positive definite")
         return self
 
+    # ---- the store -------------------------------------------------------
+    #
+    # The SVD factors of each differential, and each metric frame, are
+    # computed at most once per complex; every rank reader (``betti`` too)
+    # applies its own scale to the stored singular values.  An entry is
+    # keyed on the block it was computed from, so replacing v[i] or h[q]
+    # refills it; a block edited in place is not seen.
+
+    def _stored(self, compute, blocks, i):
+        entry = self._store.get((compute, i))
+        if entry is None or entry[0] is not blocks[i]:
+            entry = self._store[compute, i] = (blocks[i], compute(blocks[i]))
+        return entry[1]
+
+    def ranked_svd(self, i, scale=None):
+        """``ranked_svd`` of v[i], from the stored factors."""
+        u, s, vh = self._stored(_svd_factors, self.v, i)
+        return u, s, vh, numerical_rank(s, scale)
+
+    def rank_split(self, i, scale=None):
+        """``rank_split`` of v[i], from the stored factors."""
+        return _split(*self.ranked_svd(i, scale))
+
+    def frame(self, q):
+        """``metric_frame`` of the point-base metric h[q]."""
+        return self._stored(metric_frame, self.h, q)
+
     def betti(self):
         """Cohomology dimensions, from the ranks of v (metric-independent)."""
-        ranks = [numerical_rank(np.linalg.svd(vi, compute_uv=False)) if vi.size else 0
-                 for vi in self.v]
+        ranks = [self.ranked_svd(i)[3] if vi.size else 0 for i, vi in enumerate(self.v)]
         out = []
         for i, d in enumerate(self.dims):
             r_out = ranks[i] if i < len(ranks) else 0
@@ -569,8 +608,12 @@ def tilde_f(E: MetricComplex, h0, h1, path: str = "linear",
     nodes are evaluated at once, as stacks with the node axis leading: one
     matrix-function call gives e^{(omega/2)^2}, and as the factor h^{-1} hdot
     is even, ``f_prime_supertrace`` reads that of f'(omega/2) h^{-1} hdot / 2.
+    A point-base complex without ``omega_data`` has omega = 0, and e^0 = I
+    exactly: there the factor's own supertrace is read
+    (``f_prime_supertrace_at_zero``).
     """
     alg = E.form_algebra()
+    flat = E.omega_data is None and not isinstance(alg, CircleBase)
     path_at = _metric_path(*(_as_metric_blocks(h, E.dims, E.base) for h in (h0, h1)), path)
     signs = np.array([(-1.0) ** g for g in E.grading])
     unit = FormElement.from_vector(alg, FormElement(alg).to_vector() + 1.0)
@@ -582,6 +625,8 @@ def tilde_f(E: MetricComplex, h0, h1, path: str = "linear",
             if blk.shape[-1]:
                 _check_cone(np.linalg.eigvalsh(blk))
         factor = 0.5 * _solved_total(E, list(zip(hl, hd)))
+        if flat:
+            return f_prime_supertrace_at_zero(alg, factor, signs) * rescale
         half = 0.5 * omega(E, hl).regular(even=True)
         msq = half @ half
         col = matrix_function(msq, "exp")[..., :E.total_dim] @ factor

@@ -34,17 +34,17 @@ from .analytic import (
 from .complexes import MetricComplex, _mat_from_json, _mat_to_json, rank_split, solve_in_span, tilde_f
 from .hodge import cohomology_class_basis, induced_gram, scalar_torsion_eigen
 from .morse import (
+    _equivariant_scalar_torsion as morse_equivariant_torsion,
+    _z2_split,
     arc_data,
     comparison_torsions,
     doubled_complex,
     double,
-    equivariant_scalar_torsion as morse_equivariant_torsion,
     psi_maps,
     split_circle_data,
     three_column_double,
-    z2_split,
 )
-from .spectral import page_torsion, pages, three_column_les
+from .spectral import _pages, _three_column_les, page_torsion
 
 __all__ = [
     "GluingScenario",
@@ -222,9 +222,10 @@ def verify_gluing_degree0(s: GluingScenario, tolerance: float = 1e-7) -> dict:
 # ---- combinatorial (critical-point) side ---------------------------------
 
 
-def _morse_l2_grams(s: GluingScenario, D, class_reps):
+def _morse_l2_grams(s: GluingScenario, full: MetricComplex, class_reps):
     """L2 Gram matrices on the column cohomologies of the three-column
-    critical-point complex, in the given class-representative bases.
+    critical-point complex, in the given class-representative bases;
+    ``full`` is its middle column.
 
     Degree-zero classes are parallel sections (squared norm = length x
     |fiber value|^2); degree-one classes are identified with their
@@ -235,7 +236,6 @@ def _morse_l2_grams(s: GluingScenario, D, class_reps):
     # the cochain complex sees the transposed holonomy: its fixed space
     fixed = rank_split(s.holonomy.T - np.eye(r))[1]
     k = fixed.shape[1]
-    full = D.column_complex(1)
 
     def deg0_gram(reps, length):
         x1 = reps[:r, :]
@@ -290,9 +290,10 @@ def verify_morse_side(s: GluingScenario, tolerance: float = 1e-9,
     D = three_column_double(M)
     cols = [D.column_complex(p) for p in range(3)]
     class_reps = [cohomology_class_basis(c) for c in cols]
-    l2_grams = _morse_l2_grams(s, D, class_reps)
+    l2_grams = _morse_l2_grams(s, cols[1], class_reps)
     hodge_grams = [induced_gram(c, reps) for c, reps in zip(cols, class_reps)]
-    data = three_column_les(D, grams=l2_grams, class_reps=class_reps)
+    # three_column_double validated D; the calls below build on it unchecked
+    data = _three_column_les(D, grams=l2_grams, class_reps=class_reps)
 
     # generator rows rel -> full -> abs are exact (and split: partition)
     row_defect = 0
@@ -303,7 +304,7 @@ def verify_morse_side(s: GluingScenario, tolerance: float = 1e-9,
     # page-zero torsion as the alternating sum of column torsions
     t_cols = [scalar_torsion_eigen(c) for c in cols]
     t_e0 = t_cols[0] - t_cols[1] + t_cols[2]
-    page0 = pages(D, r_max=0)[0]
+    page0 = _pages(D, r_max=0)[0]
     alt_residual = page_torsion(page0, method="eigen") - t_e0
 
     # metric comparison term on the first page, L2 -> combinatorial
@@ -356,8 +357,9 @@ def verify_double_formula(s: GluingScenario, analytic_tolerance: float = 1e-7,
         report[f"analytic_{element}"] = _entry(resid, analytic_tolerance)
     transports = (np.eye(r, dtype=complex),
                   s.holonomy if s.kind == "circle" else np.eye(r, dtype=complex))
+    # doubled_complex validated C; the calls below build on it unchecked
     C = doubled_complex(double(arc_data(transports, rank=r)))
-    plus, minus, _, _ = z2_split(C)
+    plus, minus, _, _ = _z2_split(C)
     t_plus = scalar_torsion_eigen(plus)
     t_minus = scalar_torsion_eigen(minus)
     for element, chi in (("identity", 1.0), ("reflection", -1.0)):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import CircleBase
-from .complexes import MetricComplex, _chi_sums, metric_frame, rank_split, ranked_svd
+from .complexes import MetricComplex, _chi_sums, rank_split, ranked_svd
 
 __all__ = [
     "cohomology_class_basis",
@@ -55,12 +55,14 @@ def cohomology_class_basis(E: MetricComplex):
         if d == 0:
             out.append(np.zeros((0, 0), dtype=complex))
             continue
-        vq = E.v[q] if q < len(E.v) else np.zeros((0, d), dtype=complex)
-        kernel = rank_split(vq, scale)[1]
-        image = rank_split(E.v[q - 1], scale)[0] if q > 0 else np.zeros((d, 0), dtype=complex)
+        # v_q's factors give the kernel here and the image in degree q + 1
+        kernel = (E.rank_split(q, scale) if q < len(E.v)
+                  else rank_split(np.zeros((0, d), dtype=complex)))[1]
+        image = E.rank_split(q - 1, scale)[0] if q > 0 else np.zeros((d, 0), dtype=complex)
         # part of the kernel transverse to the image
         proj = kernel - image @ (image.conj().T @ kernel)
-        out.append(rank_split(proj, 1.0)[0])
+        # a kernel inside the image leaves no classes, and no SVD to take
+        out.append(rank_split(proj, 1.0)[0] if proj.any() else np.zeros((d, 0), dtype=complex))
     return out
 
 
@@ -77,11 +79,11 @@ def harmonic_representatives(E: MetricComplex, class_basis=None):
             continue
         # work with the thresholded image so that a numerically negligible
         # differential cannot leak spurious directions into the projection
-        lift = rank_split(E.v[q - 1], scale)[0]
+        lift = E.rank_split(q - 1, scale)[0]
         if lift.shape[1] == 0:
             out.append(z.copy())
             continue
-        lh = metric_frame(E.h[q])[0]
+        lh = E.frame(q)[0]
         a, *_ = np.linalg.lstsq(lh @ lift, lh @ z, rcond=None)
         out.append(z - lift @ a)
     return out
@@ -110,12 +112,18 @@ def scalar_torsion_eigen(E: MetricComplex, involution=None) -> float:
     tr(phi log' Delta_q).  None means the identity element.
     """
     _require_point_base(E)
-    betti, frames = E.betti(), [metric_frame(hq) for hq in E.h]
+    betti = E.betti()
     total, rank = 0.0, 0
     for q, vq in enumerate(E.v):
         rank = E.dims[q] - betti[q] - rank
-        lh, lh_inv = frames[q]
-        _, s, vh, found = ranked_svd(frames[q + 1][0] @ vq @ lh_inv)
+        if vq.size == 0:  # no modes, and betti() gives it rank 0
+            continue
+        (lh, lh_inv), (lh_out, lh_out_inv) = E.frame(q), E.frame(q + 1)
+        if lh is lh_inv and lh_out is lh_out_inv:
+            # both frames are the identity, and I v I is v: read v's factors
+            _, s, vh, found = E.ranked_svd(q)
+        else:
+            _, s, vh, found = ranked_svd(lh_out @ vq @ lh_inv)
         if found != rank:
             above = s[found - 1] if found else np.inf
             below = s[found] if found < len(s) else 0.0

@@ -158,7 +158,11 @@ def thom_smale(M: MorseData, variant: str = "full") -> MetricComplex:
     the block from a target point to a source point is the signed sum of
     transposed transports.
     """
-    M.validate()
+    return _thom_smale(M.validate(), variant)
+
+
+def _thom_smale(M: MorseData, variant: str = "full") -> MetricComplex:
+    """``thom_smale`` of an already validated M."""
     gens = _generators(M, variant)
     r = M.rank
     offsets = [{pid: j * r for j, pid in enumerate(layer)} for layer in gens]
@@ -274,7 +278,11 @@ def doubled_complex(M: MorseData, variant: str = "full") -> Z2Complex:
 
 def z2_split(C: Z2Complex):
     """The +-1 eigen-subcomplexes with induced differentials and metrics."""
-    C.validate()
+    return _z2_split(C.validate())
+
+
+def _z2_split(C: Z2Complex):
+    """``z2_split`` of an already validated C."""
     E = C.complex
     out = []
     for sign in (1, -1):
@@ -314,7 +322,7 @@ def psi_maps(M: MorseData) -> PsiMaps:
     """Build the double of a one-sided datum and its comparison maps."""
     dbl = double(M)
     C = doubled_complex(dbl)
-    plus, minus, plus_bases, minus_bases = z2_split(C)
+    plus, minus, plus_bases, minus_bases = _z2_split(C)
     # for a one-sided datum the full generator set is the absolute one
     one_abs = thom_smale(M, "full")
     one_rel = thom_smale(
@@ -375,7 +383,11 @@ def equivariant_scalar_torsion(C: Z2Complex, g: str = "reflection") -> float:
     the involution as its weight, read from singular values, so its zero
     modes pass the same rank check against ``betti()``.
     """
-    C.validate()
+    return _equivariant_scalar_torsion(C.validate(), g)
+
+
+def _equivariant_scalar_torsion(C: Z2Complex, g: str = "reflection") -> float:
+    """``equivariant_scalar_torsion`` of an already validated C."""
     if g not in ("identity", "reflection"):
         raise ValueError(f"unknown group element {g!r}")
     return scalar_torsion_eigen(C.complex, C.involution if g == "reflection" else None)
@@ -393,9 +405,9 @@ def three_column_double(M: MorseData) -> DoubleComplexData:
     differential carries a minus sign so the differentials anticommute.
     """
     M.validate()
-    rel = thom_smale(M, "relative")
-    full = thom_smale(M, "full")
-    abso = thom_smale(M, "absolute")
+    rel = _thom_smale(M, "relative")
+    full = _thom_smale(M, "full")
+    abso = _thom_smale(M, "absolute")
     gens = {variant: _generators(M, variant)
             for variant in ("relative", "full", "absolute")}
     Q = len(gens["full"])

@@ -179,7 +179,6 @@ def _graded_sum(dims: dict, maps, metrics=None, degree=sum) -> MetricComplex:
 def _total_blocks(D: DoubleComplexData):
     """The spaces of D's total complex, by total degree and then ascending
     p, and its maps dv and hv between them, for ``_graded_sum``."""
-    D.validate()
     dims = {(p, n - p): D.dim(p, n - p)
             for n in range(D.P + D.Q - 1) for p in range(D.P) if 0 <= n - p < D.Q}
     maps = [((p, q), (p, q + 1), D.dv_at(p, q)) for p, q in dims if q + 1 < D.Q]
@@ -189,7 +188,7 @@ def _total_blocks(D: DoubleComplexData):
 
 def total_complex(D: DoubleComplexData) -> MetricComplex:
     """Direct-sum complex over the total degree, differential dv + hv."""
-    return _graded_sum(*_total_blocks(D), D.h)
+    return _graded_sum(*_total_blocks(D.validate()), D.h)
 
 
 # ---- spectral pages -----------------------------------------------------
@@ -263,8 +262,13 @@ def pages(D: DoubleComplexData, filtration: str = "columns", r_max: int | None =
     For the "rows" filtration the double complex is transposed first, so
     page labels (p, q) refer to the transposed bigrading.
     """
+    return _pages(D.validate(), filtration, r_max)
+
+
+def _pages(D: DoubleComplexData, filtration: str = "columns", r_max: int | None = None):
+    """``pages`` of an already validated D."""
     if filtration == "rows":
-        return pages(D.transpose(), "columns", r_max)
+        return _pages(D.transpose(), "columns", r_max)
     if filtration != "columns":
         raise ValueError(f"unknown filtration {filtration!r}")
     if r_max is None:
@@ -386,7 +390,7 @@ def page_decomposition_residual(D: DoubleComplexData, method: str = "eigen",
         raise DoubleComplexError("total complex is not acyclic; decomposition "
                                  "requires a vanishing limit page")
     t_total = _degree0_torsion(total, method, quad)
-    t_pages = sum(page_torsion(page, quad, method) for page in pages(D, filtration))
+    t_pages = sum(page_torsion(page, quad, method) for page in _pages(D, filtration))
     return abs(t_total - t_pages)
 
 
@@ -457,7 +461,11 @@ def three_column_les(D: DoubleComplexData, grams=None, class_reps=None) -> Three
     """
     if D.P != 3:
         raise ValueError("a three-column double complex is required")
-    D.validate()
+    return _three_column_les(D.validate(), grams, class_reps)
+
+
+def _three_column_les(D: DoubleComplexData, grams=None, class_reps=None) -> ThreeColumnData:
+    """``three_column_les`` of an already validated three-column D."""
     Q = D.Q
     if class_reps is None or grams is None:
         cols = [D.column_complex(p) for p in range(3)]
@@ -484,15 +492,10 @@ def three_column_les(D: DoubleComplexData, grams=None, class_reps=None) -> Three
         dst = class_reps[0][q + 1] if q + 1 < Q else _zeros(0, 0)
         if src.shape[1] == 0 or dst.shape[1] == 0:
             return _zeros(dst.shape[1], src.shape[1])
-        out = []
-        img = D.dv_at(0, q)
-        for j in range(src.shape[1]):
-            z = src[:, j:j + 1]
-            x = _solve_in_span(D.hv_at(1, q), z)          # lift through restriction
-            w = D.dv_at(1, q) @ x                         # differential of the lift
-            u = _solve_in_span(D.hv_at(0, q + 1), w)      # pull back along inclusion
-            out.append(_class_coords(dst, img, u))
-        return np.concatenate(out, axis=1)
+        x = _solve_in_span(D.hv_at(1, q), src)            # lift through restriction
+        w = D.dv_at(1, q) @ x                             # differential of the lift
+        u = _solve_in_span(D.hv_at(0, q + 1), w)          # pull back along inclusion
+        return _class_coords(dst, D.dv_at(0, q), u)
 
     delta = {q: connecting(q) for q in range(Q)}
 
@@ -525,18 +528,14 @@ def three_column_les(D: DoubleComplexData, grams=None, class_reps=None) -> Three
         dst_reps = e2_reps[q - 1][2]   # classes in H^{q-1}(col2) coordinates
         if src_reps.shape[1] == 0 or dst_reps.shape[1] == 0:
             continue
-        blocks = []
-        for j in range(src_reps.shape[1]):
-            z = class_reps[0][q] @ src_reps[:, j:j + 1]    # cochain rep in col0
-            pushed = D.hv_at(0, q) @ z                     # its image in col1
-            x = _solve_in_span(D.dv_at(1, q - 1), pushed)  # trivialize vertically
-            y = D.hv_at(1, q - 1) @ x                      # land in col2, degree q-1
-            img = D.dv_at(2, q - 2) if q - 2 >= 0 else _zeros(D.dim(2, q - 1), 0)
-            cls = _class_coords(class_reps[2][q - 1], img, y)
-            # express in the row-cohomology basis modulo the row image
-            row_img = d1[(1, q - 1)]
-            blocks.append(_class_coords(dst_reps, row_img, cls))
-        maps.append(((0, q), (2, q - 1), np.concatenate(blocks, axis=1)))
+        z = class_reps[0][q] @ src_reps                   # cochain reps in col0
+        pushed = D.hv_at(0, q) @ z                         # their image in col1
+        x = _solve_in_span(D.dv_at(1, q - 1), pushed)      # trivialize vertically
+        y = D.hv_at(1, q - 1) @ x                          # land in col2, degree q-1
+        img = D.dv_at(2, q - 2) if q - 2 >= 0 else _zeros(D.dim(2, q - 1), 0)
+        cls = _class_coords(class_reps[2][q - 1], img, y)
+        # express in the row-cohomology basis modulo the row image
+        maps.append(((0, q), (2, q - 1), _class_coords(dst_reps, d1[(1, q - 1)], cls)))
     # graded by the total degree p + q, ordered by q within a degree
     e2 = _graded_sum({(p, q): e2_reps[q][p].shape[1] for p, q in keys}, maps,
                      {(p, q): e2_grams[q][p] for p, q in keys})

@@ -36,7 +36,7 @@ from torsionlab.complexes import (
 )
 from torsionlab.cli import main
 from torsionlab.glue import GluingError, GluingScenario, verify_morse_side
-from torsionlab.hodge import induced_gram, scalar_torsion_eigen
+from torsionlab.hodge import cohomology_class_basis, induced_gram, scalar_torsion_eigen
 from torsionlab.instances import (
     random_circle_metric_family,
     random_circle_two_term,
@@ -574,6 +574,23 @@ class TestTildeF:
         with pytest.raises(ValueError):
             tilde_f(E, E.h, E.h, path="geodesic-ish")
 
+    @pytest.mark.parametrize("base", [None, FormalPoint(1), FormalPoint(2), FormalPoint(3)])
+    @pytest.mark.parametrize("path", ["linear", "loglinear"])
+    def test_flat_shortcut_equals_the_general_path_bit_for_bit(self, base, path):
+        # without omega_data the integrand reads the factor's supertrace;
+        # an explicit zero omega_data forces the regular representation and
+        # the exponential of its (zero) square
+        rng = np.random.default_rng(15)
+        for _ in range(3):
+            E = random_complex_instance(rng, length=3, max_dim=4)
+            E = MetricComplex(E.dims, E.v, E.h, base=base)
+            zero = FormMatrix(E.form_algebra(), E.total_dim, E.grading)
+            F = MetricComplex(E.dims, E.v, E.h, base=base, omega_data=zero)
+            h1 = [random_metric(rng, d) for d in E.dims]
+            got, ref = (tilde_f(G, G.h, h1, path).to_vector() for G in (E, F))
+            assert abs(got[0]) > 1e-3
+            assert got.tobytes() == ref.tobytes()
+
 
 class TestAnomaly:
     def test_metric_variation_identity_degree0(self):
@@ -697,6 +714,41 @@ class TestSpanCut:
             verify_morse_side(GluingScenario("circle", 2.0, 0.5, holonomy=np.eye(1)))
         assert main(["verify", "spectral"]) == 3
         assert "escapes its target" in capsys.readouterr().err
+
+
+class TestStore:
+    def count_svds(self, monkeypatch):
+        """Record each np.linalg.svd call by its input's shape and bytes."""
+        calls, svd = [], np.linalg.svd
+
+        def counted(a, *args, **kw):
+            calls.append((a.shape, np.asarray(a).tobytes()))
+            return svd(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    def test_each_differential_is_decomposed_once(self, monkeypatch):
+        E = random_complex_instance(np.random.default_rng(43), length=3, identity_metric=True)
+        calls = self.count_svds(monkeypatch)
+        betti = E.betti()
+        assert E.betti() == betti
+        assert len(calls) == len([vq for vq in E.v if vq.size])
+        induced_gram(E, cohomology_class_basis(E))
+        before = len(calls)
+        # both frames are the identity: the eigenvalue route reads the
+        # stored factors and adds no factorization
+        scalar_torsion_eigen(E)
+        assert len(calls) == before
+        assert len(set(calls)) == len(calls)
+
+    def test_replacing_a_differential_refills_its_entries(self):
+        E = random_complex_instance(np.random.default_rng(44), length=2, max_dim=3)
+        betti = E.betti()
+        assert betti != tuple(E.dims)
+        E.v = [np.zeros_like(vq) for vq in E.v]
+        assert E.betti() == tuple(E.dims)
+        assert E.rank_split(0)[0].shape[1] == 0
 
 
 class TestMetricFrame:

@@ -16,7 +16,8 @@ from torsionlab.glue import (
     verify_morse_side,
 )
 from torsionlab.instances import random_unitary
-from torsionlab.morse import arc_data, comparison_torsions, psi_maps
+from torsionlab.morse import Z2Complex, arc_data, comparison_torsions, psi_maps
+from torsionlab.spectral import DoubleComplexData
 
 LOG2 = float(np.log(2.0))
 
@@ -189,3 +190,55 @@ class TestDoubleFormula:
         s = GluingScenario("circle", 3.0, 0.7, holonomy=U)
         report = verify_double_formula(s)
         assert all(report[k]["pass"] for k in report if k != "scenario")
+
+
+class TestRepeatedWork:
+    """Each verify_* call decomposes each matrix once and validates its
+    input once; the public entry points it builds on still validate."""
+
+    def scenario(self):
+        return GluingScenario("circle", 2.7, 0.35,
+                              holonomy=np.diag([np.exp(0.4j), 1.0]).astype(complex))
+
+    def record_svds(self, monkeypatch, key):
+        seen, svd = [], np.linalg.svd
+
+        def recorded(a, full_matrices=True, compute_uv=True, **kw):
+            seen.append(key(a, full_matrices, compute_uv))
+            return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        return seen
+
+    def test_double_formula_decomposes_no_matrix_twice(self, monkeypatch):
+        seen = self.record_svds(monkeypatch, lambda a, full, uv: (a.shape, a.tobytes(), full, uv))
+        verify_double_formula(self.scenario())
+        assert seen and len(set(seen)) == len(seen)
+
+    def test_morse_side_decomposes_no_array_twice(self, monkeypatch):
+        # keyed on the array itself: distinct complexes of the ledger share
+        # some matrices by value (an E1 row differential is a block of the
+        # long exact sequence), but no complex decomposes a block twice
+        _arc_comparison_torsions(2)
+        held = []
+
+        def key(a, full, uv):
+            held.append(a)  # keeps ids unique for the call
+            return id(a), full, uv
+
+        seen = self.record_svds(monkeypatch, key)
+        verify_morse_side(self.scenario())
+        assert seen and len(set(seen)) == len(seen)
+
+    def test_each_input_is_validated_once(self, monkeypatch):
+        counts = {}
+        for cls in (DoubleComplexData, Z2Complex):
+            def counted(self, _validate=cls.validate, _name=cls.__name__):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _validate(self)
+            monkeypatch.setattr(cls, "validate", counted)
+        verify_morse_side(self.scenario())
+        assert counts == {"DoubleComplexData": 1}
+        counts.clear()
+        verify_double_formula(self.scenario())
+        assert counts == {"Z2Complex": 1}

@@ -41,11 +41,17 @@ def linalg_calls(path):
 
 
 def test_one_rank_policy_and_one_eigenvalue_route():
-    # singular values are cut only by the rank policy in complexes.py;
+    # singular values are cut only by the rank policy in complexes.py, and
+    # computed only by the one decomposition that a complex's store holds;
     # hodge's eigenvalue route reads singular values, and neither it nor
     # the modules built on it keep an eigen solver
     files = {f.name: linalg_calls(f) for f in sorted((ROOT / "src").rglob("*.py"))}
     assert sorted(name for name, calls in files.items() if "svd" in calls) == ["complexes.py"]
+    tree = ast.parse((ROOT / "src" / "torsionlab" / "complexes.py").read_text())
+    callers = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               for node in ast.walk(f) if isinstance(node, ast.Call)
+               and ast.unparse(node.func) == "np.linalg.svd"}
+    assert callers == {"_svd_factors"}
     for name in ("hodge.py", "morse.py", "spectral.py", "glue.py"):
         assert not {c for c in files[name] if c.startswith("eig")}, name
 

@@ -130,8 +130,9 @@ class TestDoubling:
         bad = Z2Complex(MetricComplex(E.dims, v, h), invol)
         with pytest.raises(NonFiniteDataError, match=f"{where} 0"):
             bad.validate()
-        with pytest.raises(NonFiniteDataError):
-            z2_split(bad)
+        for call in (z2_split, equivariant_scalar_torsion):
+            with pytest.raises(NonFiniteDataError):
+                call(bad)
 
     def test_split_dimensions(self):
         C = doubled_complex(double(arc_data(rank=2)))

@@ -44,6 +44,11 @@ class TestDoubleComplexData:
         bad.hv[key] = bad.hv[key] + 0.1 * np.ones_like(bad.hv[key])
         with pytest.raises(Exception):
             bad.validate()
+        # each public entry point validates what it is given
+        for call in (pages, lambda D: pages(D, "rows"), three_column_les, total_complex,
+                     page_decomposition_residual):
+            with pytest.raises(DoubleComplexError):
+                call(bad)
 
     def test_transpose_involution(self):
         rng = np.random.default_rng(2)
