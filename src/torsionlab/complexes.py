@@ -156,11 +156,11 @@ def solve_in_span(basis: np.ndarray, rhs: np.ndarray, error, what: str, scale=No
 def metric_frame(h: np.ndarray):
     """L^H and its inverse for the Cholesky factor L of one metric block
     h = L L^H, so that y = L^H x are orthonormal coordinates.  A block
-    that is exactly the identity is its own frame, unfactorized: one
-    identity array is both, so ``lh is lh_inv`` exactly then."""
-    eye = np.eye(h.shape[-1], dtype=complex)
-    if np.array_equal(h, eye):  # callers only read frames, so one array serves both
-        return eye, eye
+    that is exactly the identity is its own frame, unfactorized: callers
+    only read frames, so the block itself is both, and ``lh is lh_inv``."""
+    # n nonzeros, all on a unit diagonal: the identity, without building one
+    if np.count_nonzero(h) == h.shape[-1] and (h.diagonal() == 1).all():
+        return h, h
     lh = np.linalg.cholesky(h).conj().T
     return lh, np.linalg.inv(lh)
 

@@ -34,7 +34,6 @@ from .analytic import (
 from .complexes import MetricComplex, _mat_from_json, _mat_to_json, rank_split, solve_in_span, tilde_f
 from .hodge import cohomology_class_basis, induced_gram, scalar_torsion_eigen
 from .morse import (
-    _equivariant_scalar_torsion as morse_equivariant_torsion,
     _z2_split,
     arc_data,
     comparison_torsions,
@@ -44,7 +43,7 @@ from .morse import (
     split_circle_data,
     three_column_double,
 )
-from .spectral import _pages, _three_column_les, page_torsion
+from .spectral import _graded_sum, _pages, _three_column_les, page_torsion
 
 __all__ = [
     "GluingScenario",
@@ -156,38 +155,27 @@ def build_mv(s: GluingScenario) -> MayerVietorisData:
     chosen coordinates (fiber values for degree zero, periods for
     degree one) the maps are the subspace inclusion of the invariant
     fiber directions, the holonomy defect U - I, and the adjoint
-    projection back onto the invariants.
+    projection back onto the invariants.  The six terms are the degrees
+    0..5 of ``spectral``'s graded sum; only nonzero blocks are named.
     """
     r = s.rank
     labels = ["H0(Z2,Y)", "H0(Z)", "H0(Z1)", "H1(Z2,Y)", "H1(Z)", "H1(Z1)"]
     if s.kind == "circle":
         h = l2_cohomology(s.geometry())
-        basis = h[0].fiber_basis
-        k = h[0].dim
-        dims = [0, k, r, r, k, 0]
-        v = [np.zeros((k, 0), dtype=complex),
-             basis,
-             s.holonomy - np.eye(r),
-             basis.conj().T,
-             np.zeros((0, k), dtype=complex)]
-        grams = [np.eye(0), s.length * np.eye(k), s.l1 * np.eye(r),
-                 (1.0 / s.l2) * np.eye(r), (1.0 / s.length) * np.eye(k),
-                 np.eye(0)]
+        basis, k = h[0].fiber_basis, h[0].dim
+        dims = {1: k, 2: r, 3: r, 4: k}
+        maps = [(1, 2, basis), (2, 3, s.holonomy - np.eye(r)), (3, 4, basis.conj().T)]
+        grams = {1: s.length * np.eye(k), 2: s.l1 * np.eye(r),
+                 3: (1.0 / s.l2) * np.eye(r), 4: (1.0 / s.length) * np.eye(k)}
     elif s.bc == "abs":
-        dims = [0, r, r, 0, 0, 0]
-        v = [np.zeros((r, 0)), np.eye(r), np.zeros((0, r)),
-             np.zeros((0, 0)), np.zeros((0, 0))]
-        grams = [np.eye(0), s.length * np.eye(r), s.l1 * np.eye(r),
-                 np.eye(0), np.eye(0), np.eye(0)]
+        dims = {1: r, 2: r}
+        maps = [(1, 2, np.eye(r))]
+        grams = {1: s.length * np.eye(r), 2: s.l1 * np.eye(r)}
     else:
-        dims = [0, 0, 0, r, r, 0]
-        v = [np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((r, 0)),
-             np.eye(r), np.zeros((0, r))]
-        grams = [np.eye(0), np.eye(0), np.eye(0),
-                 (1.0 / s.l2) * np.eye(r), (1.0 / s.length) * np.eye(r),
-                 np.eye(0)]
-    mc = MetricComplex(dims, [np.asarray(m, dtype=complex) for m in v],
-                       [np.asarray(g, dtype=complex) for g in grams])
+        dims = {3: r, 4: r}
+        maps = [(3, 4, np.eye(r))]
+        grams = {3: (1.0 / s.l2) * np.eye(r), 4: (1.0 / s.length) * np.eye(r)}
+    mc = _graded_sum(dict.fromkeys(range(6), 0) | dims, maps, grams, lambda n: n)
     return MayerVietorisData(mc, labels).validate()
 
 
@@ -362,8 +350,8 @@ def verify_double_formula(s: GluingScenario, analytic_tolerance: float = 1e-7,
     plus, minus, _, _ = _z2_split(C)
     t_plus = scalar_torsion_eigen(plus)
     t_minus = scalar_torsion_eigen(minus)
-    for element, chi in (("identity", 1.0), ("reflection", -1.0)):
-        resid = morse_equivariant_torsion(C, element) - (t_plus + chi * t_minus)
+    for element, chi, phi in (("identity", 1.0, None), ("reflection", -1.0, C.involution)):
+        resid = scalar_torsion_eigen(C.complex, phi) - (t_plus + chi * t_minus)
         report[f"combinatorial_{element}"] = _entry(resid, combinatorial_tolerance)
     return report
 

@@ -43,13 +43,18 @@ def _require_point_base(E: MetricComplex):
                          "implemented for point-base complexes")
 
 
+def _scale(E: MetricComplex) -> float:
+    """max_q |v_q| (Frobenius), the scale of E's rank cuts."""
+    return max([np.linalg.norm(vq) for vq in E.v], default=1.0)
+
+
 def cohomology_class_basis(E: MetricComplex):
     """Metric-independent cocycle representatives of a cohomology basis.
 
     Computed from the differential alone (standard inner product), so
     the same class basis can be reused under different metrics.
     """
-    scale = max([np.linalg.norm(vq) for vq in E.v], default=1.0)
+    scale = _scale(E)
     out = []
     for q, d in enumerate(E.dims):
         if d == 0:
@@ -71,7 +76,7 @@ def harmonic_representatives(E: MetricComplex, class_basis=None):
     _require_point_base(E)
     if class_basis is None:
         class_basis = cohomology_class_basis(E)
-    scale = max([np.linalg.norm(vq) for vq in E.v], default=1.0)
+    scale = _scale(E)
     out = []
     for q, z in enumerate(class_basis):
         if z.shape[1] == 0 or q == 0 or min(E.v[q - 1].shape) == 0:

@@ -150,6 +150,19 @@ def _generators(M: MorseData, variant: str):
     return gens
 
 
+def _place(r: int, rows, cols, blocks) -> np.ndarray:
+    """The matrix from the fibers over the generator ids ``cols`` to those
+    over ``rows``, generator j's fiber at rows j r..(j + 1) r of its list.
+    Each (row id, column id, r x r block) of ``blocks`` is added at its
+    generators' place, in order, so blocks at one place sum."""
+    at_row = {pid: j * r for j, pid in enumerate(rows)}
+    at_col = {pid: j * r for j, pid in enumerate(cols)}
+    out = np.zeros((r * len(rows), r * len(cols)), dtype=complex)
+    for i, j, blk in blocks:
+        out[at_row[i]:at_row[i] + r, at_col[j]:at_col[j] + r] += blk
+    return out
+
+
 def thom_smale(M: MorseData, variant: str = "full") -> MetricComplex:
     """Cochain complex generated by the selected critical points.
 
@@ -165,21 +178,10 @@ def _thom_smale(M: MorseData, variant: str = "full") -> MetricComplex:
     """``thom_smale`` of an already validated M."""
     gens = _generators(M, variant)
     r = M.rank
-    offsets = [{pid: j * r for j, pid in enumerate(layer)} for layer in gens]
-    dims = [r * len(layer) for layer in gens]
-    ids = {pid for layer in gens for pid in layer}
-    v = []
-    for q in range(len(dims) - 1):
-        blk = np.zeros((dims[q + 1], dims[q]), dtype=complex)
-        for g in M.instantons:
-            if g.src not in ids or g.dst not in ids:
-                continue
-            if M.point(g.src).index != q + 1:
-                continue
-            i = offsets[q + 1][g.src]
-            j = offsets[q][g.dst]
-            blk[i:i + r, j:j + r] += g.sign * g.transport.T
-        v.append(blk)
+    v = [_place(r, gens[q + 1], gens[q],
+                [(g.src, g.dst, g.sign * g.transport.T) for g in M.instantons
+                 if g.src in gens[q + 1] and g.dst in gens[q]])
+         for q in range(len(gens) - 1)]
     # consistency gate: the assembled differential must square to zero
     for q in range(len(v) - 1):
         square = v[q + 1] @ v[q]
@@ -190,8 +192,8 @@ def _thom_smale(M: MorseData, variant: str = "full") -> MetricComplex:
             dst = gens[q + 2][i // r]
             raise MorseDataError(
                 f"differential does not square to zero between {src!r} and {dst!r}")
-    h = [np.eye(d, dtype=complex) for d in dims]
-    return MetricComplex(dims, v, h)
+    dims = [r * len(layer) for layer in gens]
+    return MetricComplex(dims, v, [np.eye(d, dtype=complex) for d in dims])
 
 
 # ---- doubling ------------------------------------------------------------
@@ -262,17 +264,9 @@ def doubled_complex(M: MorseData, variant: str = "full") -> Z2Complex:
     if not M.mirror:
         raise MorseDataError("datum carries no mirror table; call double() first")
     E = thom_smale(M, variant)
-    gens = _generators(M, variant)
     r = M.rank
-    invol = []
-    for layer in gens:
-        n = r * len(layer)
-        phi = np.zeros((n, n), dtype=complex)
-        pos = {pid: j * r for j, pid in enumerate(layer)}
-        for pid in layer:
-            tid = M.mirror[pid]
-            phi[pos[tid]:pos[tid] + r, pos[pid]:pos[pid] + r] = np.eye(r)
-        invol.append(phi)
+    invol = [_place(r, layer, layer, [(M.mirror[pid], pid, np.eye(r)) for pid in layer])
+             for layer in _generators(M, variant)]
     return Z2Complex(E, invol).validate()
 
 
@@ -335,23 +329,20 @@ def psi_maps(M: MorseData) -> PsiMaps:
     r = M.rank
     half = np.sqrt(2.0) / 2.0
     psi1, psi2 = [], []
-    for q in range(len(gens_dbl)):
-        pos = {pid: j * r for j, pid in enumerate(gens_dbl[q])}
+    for q, layer in enumerate(gens_dbl):
         one_ids = [p.id for p in M.points if p.index == q]
-        # restriction to each sheet, averaged: sqrt(2)/2 (j1* + j2*)
-        m1 = np.zeros((r * len(one_ids), C.complex.dims[q]), dtype=complex)
+        # restriction to each sheet, averaged: sqrt(2)/2 (j1* + j2*); a
+        # boundary point is its own mirror and gets both halves
+        m1 = _place(r, one_ids, layer,
+                    [(pid, sid, half * np.eye(r))
+                     for pid in one_ids for sid in (pid, dbl.mirror[pid])])
         # signed extension from the relative side: sqrt(2)/2 (j1 - j2)
         rel_ids = [pid for pid in one_ids
                    if M.point(pid).region != "Y"]
-        m2 = np.zeros((C.complex.dims[q], r * len(rel_ids)), dtype=complex)
-        for j, pid in enumerate(one_ids):
-            tid = dbl.mirror[pid]
-            m1[j * r:(j + 1) * r, pos[pid]:pos[pid] + r] += half * np.eye(r)
-            m1[j * r:(j + 1) * r, pos[tid]:pos[tid] + r] += half * np.eye(r)
-        for j, pid in enumerate(rel_ids):
-            tid = dbl.mirror[pid]
-            m2[pos[pid]:pos[pid] + r, j * r:(j + 1) * r] += half * np.eye(r)
-            m2[pos[tid]:pos[tid] + r, j * r:(j + 1) * r] -= half * np.eye(r)
+        m2 = _place(r, layer, rel_ids,
+                    [blk for pid in rel_ids
+                     for blk in ((pid, pid, half * np.eye(r)),
+                                 (dbl.mirror[pid], pid, -half * np.eye(r)))])
         psi1.append(m1 @ plus_bases[q])
         psi2.append(minus_bases[q].conj().T @ m2)
     return PsiMaps(C, plus, minus, one_abs, one_rel, psi1, psi2)
@@ -383,11 +374,7 @@ def equivariant_scalar_torsion(C: Z2Complex, g: str = "reflection") -> float:
     the involution as its weight, read from singular values, so its zero
     modes pass the same rank check against ``betti()``.
     """
-    return _equivariant_scalar_torsion(C.validate(), g)
-
-
-def _equivariant_scalar_torsion(C: Z2Complex, g: str = "reflection") -> float:
-    """``equivariant_scalar_torsion`` of an already validated C."""
+    C.validate()
     if g not in ("identity", "reflection"):
         raise ValueError(f"unknown group element {g!r}")
     return scalar_torsion_eigen(C.complex, C.involution if g == "reflection" else None)
@@ -408,29 +395,17 @@ def three_column_double(M: MorseData) -> DoubleComplexData:
     rel = _thom_smale(M, "relative")
     full = _thom_smale(M, "full")
     abso = _thom_smale(M, "absolute")
-    gens = {variant: _generators(M, variant)
-            for variant in ("relative", "full", "absolute")}
-    Q = len(gens["full"])
+    gens = [_generators(M, variant) for variant in ("relative", "full", "absolute")]
     r = M.rank
-    dims = [[rel.dims[q] for q in range(Q)],
-            [full.dims[q] for q in range(Q)],
-            [abso.dims[q] for q in range(Q)]]
     dv, hv = {}, {}
-    for q in range(Q):
-        pos_full = {pid: j * r for j, pid in enumerate(gens["full"][q])}
-        inc = np.zeros((full.dims[q], rel.dims[q]), dtype=complex)
-        for j, pid in enumerate(gens["relative"][q]):
-            inc[pos_full[pid]:pos_full[pid] + r, j * r:(j + 1) * r] = np.eye(r)
-        res = np.zeros((abso.dims[q], full.dims[q]), dtype=complex)
-        for j, pid in enumerate(gens["absolute"][q]):
-            res[j * r:(j + 1) * r, pos_full[pid]:pos_full[pid] + r] = np.eye(r)
-        hv[(0, q)] = inc
-        hv[(1, q)] = res
-    for q in range(Q - 1):
+    for q, (rel_ids, full_ids, abs_ids) in enumerate(zip(*gens)):
+        hv[(0, q)] = _place(r, full_ids, rel_ids, [(pid, pid, np.eye(r)) for pid in rel_ids])
+        hv[(1, q)] = _place(r, abs_ids, full_ids, [(pid, pid, np.eye(r)) for pid in abs_ids])
+    for q in range(len(full.v)):
         dv[(0, q)] = rel.v[q]
         dv[(1, q)] = -full.v[q]
         dv[(2, q)] = abso.v[q]
-    return DoubleComplexData(dims, dv, hv).validate()
+    return DoubleComplexData([rel.dims, full.dims, abso.dims], dv, hv).validate()
 
 
 # ---- serialization -------------------------------------------------------

@@ -228,14 +228,13 @@ class _Ambient:
         frames = {key: metric_frame(D.h_at(*key)) for key in dims}
         total = _graded_sum(dims, [(src, dst, frames[dst][0] @ m @ frames[src][1])
                                    for src, dst, m in maps])
-        s = list(accumulate(total.dims, initial=0))
-        self.N = s[-1]
-        self.full = _zeros(self.N, self.N)
-        for n, vn in enumerate(total.v):
-            self.full[s[n + 1]:s[n + 2], s[n]:s[n + 1]] = vn
-        # cuts[n][p]: start of block (p, n - p); cuts[n][P] is the end of degree n
-        self.cuts = [list(accumulate((D.dim(p, n - p) for p in range(D.P)), initial=s[n]))
-                     for n in range(len(s))]
+        self.N = total.total_dim
+        self.full = total.v_total()
+        # cuts[n][p]: start of block (p, n - p); cuts[n][P] is the end of
+        # degree n, and degree n + 1 past the top is empty at N
+        starts = [sl.start for sl in total.block_slices()] + [self.N]
+        self.cuts = [list(accumulate((D.dim(p, n - p) for p in range(D.P)), initial=start))
+                     for n, start in enumerate(starts)]
 
     def span(self, p_lo, p_hi, n) -> slice:
         """Indices of the blocks (p, n - p) with p_lo <= p < p_hi; p outside

@@ -84,3 +84,25 @@ def test_torsion_integrands_never_form_f_prime():
              and any(isinstance(a, ast.Constant) and a.value == "f_prime"
                      for a in n.args + [k.value for k in n.keywords])]
     assert calls == []
+
+
+def slice_stores(node):
+    """Subscripts under ``node`` written through a slice (``a[i:j] = ...``)."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Subscript)
+            and isinstance(n.ctx, ast.Store)
+            and any(isinstance(s, ast.Slice) for s in ast.walk(n.slice))]
+
+
+def test_morse_places_every_block_through_one_helper():
+    # a generator's fiber is placed in morse.py by _place alone
+    tree = ast.parse((ROOT / "src" / "torsionlab" / "morse.py").read_text())
+    place = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_place"]
+    assert len(place) == 1
+    assert slice_stores(tree) == slice_stores(place[0]) != []
+
+
+def test_glue_builds_no_complex_by_hand():
+    # glue's graded complexes are laid out by spectral._graded_sum
+    tree = ast.parse((ROOT / "src" / "torsionlab" / "glue.py").read_text())
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+                and ast.unparse(n.func) == "MetricComplex"]

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from torsionlab.analytic import l2_cohomology
 from torsionlab.complexes import MetricComplex, NonFiniteDataError
+from torsionlab.glue import GluingScenario, build_mv
 from torsionlab.hodge import IllConditionedError, scalar_torsion_eigen
 from torsionlab.instances import random_invertible, random_metric, random_unitary
 from torsionlab.morse import (
@@ -210,6 +212,155 @@ class TestPsiMaps:
             two_term = MetricComplex([m.shape[1], m.shape[0]], [m],
                                      [np.eye(m.shape[1]), np.eye(m.shape[0])])
             assert scalar_torsion_eigen(two_term) == pytest.approx(0.0, abs=1e-12)
+
+
+def same_bits(a, b):
+    """Equal shapes, dtypes and bytes; lists compare entry by entry."""
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+class TestBlockPlacement:
+    """Every generator-indexed layout, and the Mayer-Vietoris sequence,
+    equal bit for bit a reference that places each generator's fiber by
+    its own offset dict, one block at a time."""
+
+    KEEP = {"full": ("Z1", "Z2", "Y"), "absolute": ("Z1", "Y"),
+            "relative": ("Z2",), "boundary": ("Y",)}
+
+    def gens(self, M, variant):
+        return [[p.id for p in M.points if p.index == q and p.region in self.KEEP[variant]]
+                for q in range(M.max_index() + 1)]
+
+    @staticmethod
+    def offsets(ids, r):
+        return {pid: j * r for j, pid in enumerate(ids)}
+
+    def differentials(self, M, variant):
+        gens, r, out = self.gens(M, variant), M.rank, []
+        for q in range(len(gens) - 1):
+            rows, cols = self.offsets(gens[q + 1], r), self.offsets(gens[q], r)
+            blk = np.zeros((r * len(rows), r * len(cols)), dtype=complex)
+            for g in M.instantons:
+                if g.src in rows and g.dst in cols:
+                    i, j = rows[g.src], cols[g.dst]
+                    blk[i:i + r, j:j + r] += g.sign * g.transport.T
+            out.append(blk)
+        return out
+
+    def involution(self, M, variant):
+        r, out = M.rank, []
+        for layer in self.gens(M, variant):
+            pos = self.offsets(layer, r)
+            phi = np.zeros((r * len(layer), r * len(layer)), dtype=complex)
+            for pid in layer:
+                tid = M.mirror[pid]
+                phi[pos[tid]:pos[tid] + r, pos[pid]:pos[pid] + r] = np.eye(r)
+            out.append(phi)
+        return out
+
+    def psi(self, M):
+        dbl, r, half = double(M), M.rank, np.sqrt(2.0) / 2.0
+        _, _, plus_bases, minus_bases = z2_split(doubled_complex(dbl))
+        psi1, psi2 = [], []
+        for q, layer in enumerate(self.gens(dbl, "full")):
+            pos = self.offsets(layer, r)
+            one_ids = [p.id for p in M.points if p.index == q]
+            rel_ids = [pid for pid in one_ids if M.point(pid).region != "Y"]
+            m1 = np.zeros((r * len(one_ids), r * len(layer)), dtype=complex)
+            m2 = np.zeros((r * len(layer), r * len(rel_ids)), dtype=complex)
+            for j, pid in enumerate(one_ids):
+                tid = dbl.mirror[pid]
+                m1[j * r:(j + 1) * r, pos[pid]:pos[pid] + r] += half * np.eye(r)
+                m1[j * r:(j + 1) * r, pos[tid]:pos[tid] + r] += half * np.eye(r)
+                if pid == tid:  # a boundary point: both halves at one place
+                    assert m1[j * r, pos[pid]] == half + half
+            for j, pid in enumerate(rel_ids):
+                tid = dbl.mirror[pid]
+                m2[pos[pid]:pos[pid] + r, j * r:(j + 1) * r] += half * np.eye(r)
+                m2[pos[tid]:pos[tid] + r, j * r:(j + 1) * r] -= half * np.eye(r)
+            psi1.append(m1 @ plus_bases[q])
+            psi2.append(minus_bases[q].conj().T @ m2)
+        return psi1, psi2
+
+    def horizontal(self, M):
+        gens = {v: self.gens(M, v) for v in ("relative", "full", "absolute")}
+        r, hv = M.rank, {}
+        for q, layer in enumerate(gens["full"]):
+            pos = self.offsets(layer, r)
+            rel, abso = gens["relative"][q], gens["absolute"][q]
+            inc = np.zeros((r * len(layer), r * len(rel)), dtype=complex)
+            for j, pid in enumerate(rel):
+                inc[pos[pid]:pos[pid] + r, j * r:(j + 1) * r] = np.eye(r)
+            res = np.zeros((r * len(abso), r * len(layer)), dtype=complex)
+            for j, pid in enumerate(abso):
+                res[j * r:(j + 1) * r, pos[pid]:pos[pid] + r] = np.eye(r)
+            hv[(0, q)], hv[(1, q)] = inc, res
+        return hv
+
+    @staticmethod
+    def mv(s):
+        """The six-term sequence with every zero block written out."""
+        r, z, e0 = s.rank, np.zeros, np.eye(0)
+        if s.kind == "circle":
+            h = l2_cohomology(s.geometry())
+            basis, k = h[0].fiber_basis, h[0].dim
+            dims = [0, k, r, r, k, 0]
+            v = [z((k, 0)), basis, s.holonomy - np.eye(r), basis.conj().T, z((0, k))]
+            grams = [e0, s.length * np.eye(k), s.l1 * np.eye(r),
+                     (1.0 / s.l2) * np.eye(r), (1.0 / s.length) * np.eye(k), e0]
+        elif s.bc == "abs":
+            dims = [0, r, r, 0, 0, 0]
+            v = [z((r, 0)), np.eye(r), z((0, r)), z((0, 0)), z((0, 0))]
+            grams = [e0, s.length * np.eye(r), s.l1 * np.eye(r), e0, e0, e0]
+        else:
+            dims = [0, 0, 0, r, r, 0]
+            v = [z((0, 0)), z((0, 0)), z((r, 0)), np.eye(r), z((0, r))]
+            grams = [e0, e0, e0, (1.0 / s.l2) * np.eye(r), (1.0 / s.length) * np.eye(r), e0]
+        return MetricComplex(dims, [np.asarray(m, dtype=complex) for m in v],
+                             [np.asarray(g, dtype=complex) for g in grams])
+
+    def test_every_layout_matches_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        # rank 2 with non-symmetric transports, so a missing transpose shows
+        t = [random_invertible(rng, 2) for _ in range(3)]
+        assert not np.allclose(t[0], t[0].T)
+        split = split_circle_data(t[0])
+        height = circle_height_data(t[1])  # two instantons on one (max, min) pair
+        arc = arc_data((t[1], t[2]), rank=2)
+        for M in (split, height, arc):
+            for variant in self.KEEP:
+                E = thom_smale(M, variant)
+                assert E.dims == [2 * len(ids) for ids in self.gens(M, variant)]
+                assert same_bits(E.v, self.differentials(M, variant))
+        dbl = double(arc)
+        for variant in ("full", "absolute"):
+            C = doubled_complex(dbl, variant)
+            assert same_bits(C.complex.v, self.differentials(dbl, variant))
+            assert same_bits(C.involution, self.involution(dbl, variant))
+        # the sqrt(2) entries of psi1 at the two boundary points
+        P = psi_maps(arc)
+        psi1, psi2 = self.psi(arc)
+        assert same_bits(P.psi1, psi1) and same_bits(P.psi2, psi2)
+        D = three_column_double(split)
+        hv = self.horizontal(split)
+        assert D.hv.keys() == hv.keys() and all(same_bits(D.hv[k], hv[k]) for k in hv)
+        v = {variant: self.differentials(split, variant)
+             for variant in ("relative", "full", "absolute")}
+        for q in range(D.Q - 1):
+            assert same_bits(D.dv[(0, q)], v["relative"][q])
+            assert same_bits(D.dv[(1, q)], -v["full"][q])
+            assert same_bits(D.dv[(2, q)], v["absolute"][q])
+        W = random_unitary(rng, 2)
+        U = W @ np.diag([np.exp(0.4j), 1.0]) @ W.conj().T
+        for s in (GluingScenario("circle", 2.7, 0.35, holonomy=U),
+                  GluingScenario("interval", 1.5, 0.25, rank=2, bc="abs"),
+                  GluingScenario("interval", 1.5, 0.25, rank=2, bc="rel")):
+            got, want = build_mv(s).complex, self.mv(s)
+            assert got.dims == want.dims
+            assert same_bits(got.v, want.v) and same_bits(got.h, want.h)
 
 
 class TestEquivariantTorsion:
