@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import _mat_from_json, _mat_to_json, check_finite
+from .complexes import _mat_from_json, _mat_to_json, check_finite, rank_split
 from .quad import QuadratureSpec, adaptive_quad, dyadic_tail
 
 __all__ = [
@@ -119,20 +119,20 @@ class SpectrumData:
         return self
 
 
-def _circle_angles(U: np.ndarray):
-    lam = np.linalg.eigvals(U)
-    return np.mod(np.angle(lam), _TWO_PI)
-
-
 def spectrum(g: ModelGeometry) -> SpectrumData:
-    """Explicit Laplacian spectra of the model geometry per form degree."""
+    """Explicit Laplacian spectra of the model geometry per form degree.
+
+    On a circle the zero modes are the parallel sections: the k
+    holonomy eigenvalues nearest 1, with k = dim ker(U - I), are trivial.
+    """
     if g.kind == "circle":
         c = _TWO_PI / g.length
+        lam = np.linalg.eigvals(g.holonomy)
+        zeros = rank_split(g.holonomy - np.eye(g.rank))[1].shape[1]
+        trivial = set(np.argsort(np.abs(lam - 1.0))[:zeros].tolist())
         fams = []
-        zeros = 0
-        for theta in _circle_angles(g.holonomy):
-            if min(theta, _TWO_PI - theta) < 1e-12:
-                zeros += 1
+        for i, theta in enumerate(np.mod(np.angle(lam), _TWO_PI)):
+            if i in trivial:
                 fams.append(QuadraticFamily(c, 1.0, 2))
             else:
                 fams.append(QuadraticFamily(c, theta / _TWO_PI, 1))
@@ -331,15 +331,8 @@ def l2_cohomology(g: ModelGeometry):
     relative keeps the coordinate one-forms (norm^2 = L) in degree 1.
     """
     if g.kind == "circle":
-        U = g.holonomy
-        n = U.shape[0]
-        w, vecs = np.linalg.eig(U)
-        keep = np.abs(w - 1.0) < 1e-10
-        k = int(np.sum(keep))
-        if k:
-            basis = np.linalg.qr(vecs[:, keep])[0]
-        else:
-            basis = np.zeros((n, 0), dtype=complex)
+        basis = rank_split(g.holonomy - np.eye(g.rank))[1]
+        k = basis.shape[1]
         h0 = L2Cohomology(k, g.length * np.eye(k), "parallel constants", basis)
         h1 = L2Cohomology(k, (1.0 / g.length) * np.eye(k),
                           "unit-period classes", basis)

@@ -84,19 +84,16 @@ def check_finite(name: str, values) -> None:
 
 # ---- the numerical-rank policy ---------------------------------------------
 #
-# Every rank and zero-mode decision on a finite complex is made here: a
-# singular value counts when it exceeds RANK_THRESHOLD * max(scale, 1), with
-# scale the largest singular value unless the caller fixes one.  (The model
-# spectra in ``analytic`` still cut holonomy eigenvalues on their own.)
+# Every rank and zero-mode decision is made here: a singular value counts
+# when it exceeds RANK_THRESHOLD * max(s_max, 1), with s_max the largest
+# singular value of the same matrix.
 
 RANK_THRESHOLD = 1e-10
 
 
-def numerical_rank(s, scale=None) -> int:
+def numerical_rank(s) -> int:
     """Number of values in ``s`` (sorted decreasing) above the rank cut."""
-    if scale is None:
-        scale = s[0] if len(s) else 0.0
-    return int(np.count_nonzero(s > RANK_THRESHOLD * max(scale, 1.0)))
+    return int(np.count_nonzero(s > RANK_THRESHOLD * max(s[0] if len(s) else 0.0, 1.0)))
 
 
 # The decomposition below is the only call of the SVD.  A
@@ -112,20 +109,20 @@ def _svd_factors(m: np.ndarray):
     return np.linalg.svd(m, full_matrices=rows < cols)
 
 
-def ranked_svd(m: np.ndarray, scale=None):
+def ranked_svd(m: np.ndarray):
     """The SVD factors u, s, vh of m (``_svd_factors``) and its numerical rank."""
     u, s, vh = _svd_factors(m)
-    return u, s, vh, numerical_rank(s, scale)
+    return u, s, vh, numerical_rank(s)
 
 
 def _split(u, s, vh, rank):
     return u[:, :rank], vh[rank:].conj().T
 
 
-def rank_split(m: np.ndarray, scale=None):
+def rank_split(m: np.ndarray):
     """Orthonormal bases of the column space and of the null space of m,
     split at its numerical rank."""
-    return _split(*ranked_svd(m, scale))
+    return _split(*ranked_svd(m))
 
 
 # Every span-membership decision is made here: rhs lies in span(basis) when
@@ -272,7 +269,7 @@ class MetricComplex:
     #
     # The SVD factors of each differential, and each metric frame, are
     # computed at most once per complex; every rank reader (``betti`` too)
-    # applies its own scale to the stored singular values.  An entry is
+    # cuts the stored singular values by ``numerical_rank``.  An entry is
     # keyed on the block it was computed from, so replacing v[i] or h[q]
     # refills it; a block edited in place is not seen.
 
@@ -282,14 +279,14 @@ class MetricComplex:
             entry = self._store[compute, i] = (blocks[i], compute(blocks[i]))
         return entry[1]
 
-    def ranked_svd(self, i, scale=None):
+    def ranked_svd(self, i):
         """``ranked_svd`` of v[i], from the stored factors."""
         u, s, vh = self._stored(_svd_factors, self.v, i)
-        return u, s, vh, numerical_rank(s, scale)
+        return u, s, vh, numerical_rank(s)
 
-    def rank_split(self, i, scale=None):
+    def rank_split(self, i):
         """``rank_split`` of v[i], from the stored factors."""
-        return _split(*self.ranked_svd(i, scale))
+        return _split(*self.ranked_svd(i))
 
     def frame(self, q):
         """``metric_frame`` of the point-base metric h[q]."""
@@ -648,6 +645,10 @@ def _mat_from_json(obj):
 
 
 def complex_to_json(E: MetricComplex) -> str:
+    """The JSON document of E; a complex with ``omega_data`` has none,
+    since dropping it would change the torsion form."""
+    if E.omega_data is not None:
+        raise ValueError("complex_to_json cannot encode omega_data")
     base = None
     if isinstance(E.base, FormalPoint):
         base = {"kind": "formal_point", "n_generators": E.base.n_generators,

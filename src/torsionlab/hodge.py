@@ -43,31 +43,25 @@ def _require_point_base(E: MetricComplex):
                          "implemented for point-base complexes")
 
 
-def _scale(E: MetricComplex) -> float:
-    """max_q |v_q| (Frobenius), the scale of E's rank cuts."""
-    return max([np.linalg.norm(vq) for vq in E.v], default=1.0)
-
-
 def cohomology_class_basis(E: MetricComplex):
     """Metric-independent cocycle representatives of a cohomology basis.
 
     Computed from the differential alone (standard inner product), so
     the same class basis can be reused under different metrics.
     """
-    scale = _scale(E)
     out = []
     for q, d in enumerate(E.dims):
         if d == 0:
             out.append(np.zeros((0, 0), dtype=complex))
             continue
         # v_q's factors give the kernel here and the image in degree q + 1
-        kernel = (E.rank_split(q, scale) if q < len(E.v)
+        kernel = (E.rank_split(q) if q < len(E.v)
                   else rank_split(np.zeros((0, d), dtype=complex)))[1]
-        image = E.rank_split(q - 1, scale)[0] if q > 0 else np.zeros((d, 0), dtype=complex)
+        image = E.rank_split(q - 1)[0] if q > 0 else np.zeros((d, 0), dtype=complex)
         # part of the kernel transverse to the image
         proj = kernel - image @ (image.conj().T @ kernel)
         # a kernel inside the image leaves no classes, and no SVD to take
-        out.append(rank_split(proj, 1.0)[0] if proj.any() else np.zeros((d, 0), dtype=complex))
+        out.append(rank_split(proj)[0] if proj.any() else np.zeros((d, 0), dtype=complex))
     return out
 
 
@@ -76,7 +70,6 @@ def harmonic_representatives(E: MetricComplex, class_basis=None):
     _require_point_base(E)
     if class_basis is None:
         class_basis = cohomology_class_basis(E)
-    scale = _scale(E)
     out = []
     for q, z in enumerate(class_basis):
         if z.shape[1] == 0 or q == 0 or min(E.v[q - 1].shape) == 0:
@@ -84,7 +77,7 @@ def harmonic_representatives(E: MetricComplex, class_basis=None):
             continue
         # work with the thresholded image so that a numerically negligible
         # differential cannot leak spurious directions into the projection
-        lift = E.rank_split(q - 1, scale)[0]
+        lift = E.rank_split(q - 1)[0]
         if lift.shape[1] == 0:
             out.append(z.copy())
             continue

@@ -186,8 +186,7 @@ def _thom_smale(M: MorseData, variant: str = "full") -> MetricComplex:
     for q in range(len(v) - 1):
         square = v[q + 1] @ v[q]
         if np.linalg.norm(square) > 1e-10 * max(np.linalg.norm(v[q]) ** 2, 1.0):
-            bad = np.argwhere(np.abs(square) > 1e-10)
-            i, j = bad[0]
+            i, j = np.unravel_index(np.argmax(np.abs(square)), square.shape)
             src = gens[q][j // r]
             dst = gens[q + 2][i // r]
             raise MorseDataError(

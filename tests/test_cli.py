@@ -18,6 +18,9 @@ from torsionlab.cli import format_report, main, run_torsion, run_verify
 from torsionlab.complexes import MetricComplex, complex_to_json
 from torsionlab.instances import random_invertible
 from torsionlab.morse import (
+    CriticalPoint,
+    Instanton,
+    MorseData,
     arc_data,
     double,
     morse_to_json,
@@ -111,6 +114,19 @@ class TestTorsionCommand:
                "holonomy": {"re": [[2.0]], "im": [[0.0]]}}
         path = write(tmp_path, "nonunitary.json", json.dumps(doc))
         assert main(["torsion", path, "--kind", "geometry"]) == 3
+
+    def test_square_defect_spread_below_entry_cut_exits_3(self, tmp_path, capsys):
+        # v1 v0 is -9e-11 in every entry of its (a, d) block: its norm trips
+        # the gate though no single entry exceeds 1e-10
+        t = 0.1 * np.eye(3)
+        pts = [CriticalPoint("a", 2), CriticalPoint("b", 1),
+               CriticalPoint("c", 1), CriticalPoint("d", 0)]
+        inst = [Instanton("a", "b", 1, t), Instanton("a", "c", 1, t),
+                Instanton("b", "d", 1, t),
+                Instanton("c", "d", -1, t + 9e-10 * np.ones((3, 3)))]
+        path = write(tmp_path, "square.json", morse_to_json(MorseData(3, pts, inst)))
+        assert main(["torsion", path, "--kind", "morse"]) == 3
+        assert "between 'd' and 'a'" in capsys.readouterr().err
 
     def test_every_library_exception_exits_2_or_3(self, monkeypatch, capsys):
         # every exception type a torsionlab module defines reaches main() as

@@ -1,5 +1,6 @@
 """Tests for metric complexes, characteristic forms and torsion forms."""
 
+import json
 import time
 
 import numpy as np
@@ -640,18 +641,27 @@ class TestSerialization:
         assert complex_to_json(E2) == text
 
     def test_invalid_differential_rejected(self):
-        doc = complex_to_json(MetricComplex([1, 1], [np.array([[1.0]])],
-                                            [np.eye(1), np.eye(1)]))
-        bad = doc.replace('"dims": [\n    1,\n    1\n  ]', '"dims": [\n    1,\n    1\n  ]')
-        complex_from_json(bad)  # unchanged doc still loads
+        # a document whose v_1 v_0 = 1 is not a differential
+        doc = json.loads(complex_to_json(MetricComplex([1, 1], [np.array([[1.0]])],
+                                                       [np.eye(1), np.eye(1)])))
+        doc["dims"] = [1, 1, 1]
+        doc["v"] = [doc["v"][0], doc["v"][0]]
+        doc["h"] = [doc["h"][0]] * 3
+        with pytest.raises(ComplexDataError, match="not a differential"):
+            complex_from_json(json.dumps(doc))
+
+    def test_omega_data_is_refused_not_dropped(self):
+        F = graded_one_form_complex("point_2")
+        with pytest.raises(ValueError, match="omega_data"):
+            complex_to_json(F)
 
 
 class TestRankPolicy:
     def test_cut_is_relative_above_unit_scale(self):
         assert numerical_rank(np.array([1.0, 2e-10, 5e-11])) == 2
         assert numerical_rank(np.array([1e3, 2e-8, 1e-8])) == 1
-        assert numerical_rank(np.array([1.0, 5e-11]), scale=0.1) == 1
-        assert numerical_rank(np.array([1.0, 5e-9]), scale=1e2) == 1
+        assert numerical_rank(np.array([0.1, 5e-11])) == 1
+        assert numerical_rank(np.array([1e2, 5e-9])) == 1
         assert numerical_rank(np.zeros(0)) == 0
 
     def test_split_bases_are_orthonormal_and_complementary(self):
@@ -771,9 +781,9 @@ class TestValidation:
     def test_v_squared_must_vanish(self):
         v0 = np.array([[1.0]])
         v1 = np.array([[1.0]])
-        with pytest.raises(Exception):
+        with pytest.raises(ComplexDataError):
             MetricComplex([1, 1, 1], [v0, v1], [np.eye(1)] * 3).validate()
 
     def test_metric_must_be_positive(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ComplexDataError):
             MetricComplex([1], [], [np.array([[-1.0]])]).validate()

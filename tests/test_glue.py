@@ -17,7 +17,7 @@ from torsionlab.glue import (
 )
 from torsionlab.instances import random_unitary
 from torsionlab.morse import Z2Complex, arc_data, comparison_torsions, psi_maps
-from torsionlab.spectral import DoubleComplexData
+from torsionlab.spectral import DoubleComplexData, DoubleComplexError
 
 LOG2 = float(np.log(2.0))
 
@@ -147,6 +147,34 @@ class TestMorseSide:
     def test_interval_scenario_rejected(self):
         with pytest.raises(GluingError):
             verify_morse_side(GluingScenario("interval", 1.0, 0.5, bc="abs"))
+
+
+class TestHolonomySweep:
+    """Holonomy angle 10^-k on a circle of length 2 cut at 0.5: the analytic
+    spectra and the Mayer-Vietoris sequence take the fixed space of U from
+    one rank cut, so they agree at every k."""
+
+    @staticmethod
+    def scenario(k):
+        return GluingScenario("circle", 2.0, 0.5, holonomy=np.array([[np.exp(1j * 10.0 ** -k)]]))
+
+    @staticmethod
+    def failed(report):
+        return [key for key, entry in report.items()
+                if isinstance(entry, dict) and not entry["pass"]]
+
+    @pytest.mark.parametrize("k", range(16))
+    def test_gluing_identity_holds(self, k):
+        assert self.failed(verify_gluing_degree0(self.scenario(k))) == []
+
+    @pytest.mark.parametrize("k", range(16))
+    def test_morse_side_holds_or_names_its_span_residual(self, k):
+        if k in (8, 9):
+            # the fixed 1e-8 span cut, which a residual of eps / angle crosses
+            with pytest.raises(DoubleComplexError, match=r"not in expected span \(residual"):
+                verify_morse_side(self.scenario(k))
+        else:
+            assert self.failed(verify_morse_side(self.scenario(k))) == []
 
 
 class TestArcComparisonCache:

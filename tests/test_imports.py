@@ -71,6 +71,23 @@ def test_one_metric_frame_and_one_span_cut():
                     if isinstance(n, ast.Constant) and n.value == 1e-8], name
 
 
+def test_holonomy_fixed_spaces_and_class_bases_follow_the_rank_policy():
+    # analytic takes ker(U - I) from complexes.rank_split, with no eigenvector
+    # or angle cut of its own; hodge cuts class bases at each matrix's own
+    # largest singular value, as betti() does, with no second scale; and no
+    # rank reader in complexes.py takes a scale
+    files = {f.name: linalg_calls(f) for f in sorted((ROOT / "src").rglob("*.py"))}
+    assert not {"eig", "qr"} & files["analytic.py"]
+    tree = ast.parse((ROOT / "src" / "torsionlab" / "analytic.py").read_text())
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value == 1e-12]
+    assert "norm" not in files["hodge.py"]
+    tree = ast.parse((ROOT / "src" / "torsionlab" / "complexes.py").read_text())
+    readers = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               and f.name in ("numerical_rank", "ranked_svd", "rank_split")]
+    assert len(readers) == 5
+    assert not [f.name for f in readers if "scale" in {a.arg for a in f.args.args}]
+
+
 def test_torsion_integrands_never_form_f_prime():
     # the full product (1 + 2a^2) e^{a^2} is the tests' reference alone:
     # complexes reads its supertrace through algebra.f_prime_supertrace
