@@ -84,6 +84,8 @@ from .spectral import (
 )
 
 LOG2 = float(np.log(2.0))
+# the two elements of Z/2 and the sign each gives the anti-invariant part
+PARITIES = (("identity", 1.0), ("reflection", -1.0))
 
 # exit 3; caught before ValueError (exit 2), of which LinAlgError is one
 INVARIANT_ERRORS = (MorseDataError, GeometryError, ComplexDataError,
@@ -94,38 +96,38 @@ INVARIANT_ERRORS = (MorseDataError, GeometryError, ComplexDataError,
 
 def _entry(name: str, value: float, tolerance: float, ok: bool | None = None) -> dict:
     value = float(value)
-    if ok is None:
-        ok = abs(value) < tolerance
+    ok = abs(value) < tolerance if ok is None else ok
     return {"name": name, "value": value, "tolerance": float(tolerance),
             "verdict": "pass" if ok else "fail"}
+
+
+def _fold(measure, cases) -> np.ndarray:
+    """Element-wise maximum of the residual tuples ``measure(case)`` over the
+    cases in order (a generator of cases draws each one just before it is
+    measured). A NaN residual propagates, so its check fails; ``max(0.0, nan)``
+    would read 0.0."""
+    return np.max([np.atleast_1d(measure(case)) for case in cases], axis=0)
+
+
+def _sup(arrays) -> float:
+    """Largest absolute entry over the arrays (0.0 if none); NaN propagates."""
+    return np.max([np.max(np.abs(a), initial=0.0) for a in arrays], initial=0.0)
 
 
 # ---- verification suites -------------------------------------------------
 
 
-def suite_finite(rng, tolerance: float | None = None, grid: int = 64, **_) -> list:
-    tol = 1e-9 if tolerance is None else tolerance
-    checks = []
+def suite_finite(rng, tol: float) -> list:
+    def two_term(tau):
+        E = MetricComplex([len(tau)] * 2, [tau], [np.eye(len(tau), dtype=complex)] * 2)
+        return abs(torsion_form(E).degree0 + np.log(np.abs(np.linalg.det(tau))))
 
-    worst = 0.0
-    for _i in range(50):
-        n = int(rng.integers(1, 5))
-        tau = random_invertible(rng, n)
-        E = MetricComplex([n, n], [tau], [np.eye(n, dtype=complex)] * 2)
-        value = torsion_form(E).degree0
-        worst = max(worst, abs(value + np.log(np.abs(np.linalg.det(tau)))))
-    checks.append(_entry("two_term_torsion_is_minus_log_det", worst, tol))
-
-    worst = 0.0
-    for _i in range(100):
-        E = random_complex_instance(rng, length=int(rng.integers(1, 5)), max_dim=5)
-        worst = max(worst, abs(torsion_form(E).degree0 - scalar_torsion_eigen(E)))
-    checks.append(_entry("eigen_route_matches_quadrature", worst, tol))
-
-    worst = 0.0
-    for _i in range(50):
+    def anomaly_case():
         E = random_complex_instance(rng, length=int(rng.integers(1, 4)), max_dim=4)
-        h1 = [random_metric(rng, d) for d in E.dims]
+        return E, [random_metric(rng, d) for d in E.dims]
+
+    def anomaly(case):
+        E, h1 = case
         E1 = E.with_metric(h1)
         lhs = torsion_form(E1).degree0 - torsion_form(E).degree0
         term_e = tilde_f(E, E.h, h1).coefficient(0).real
@@ -134,194 +136,157 @@ def suite_finite(rng, tolerance: float | None = None, grid: int = 64, **_) -> li
             if a.shape[0]:
                 term_h += ((-1.0) ** q) * 0.5 * (
                     np.log(np.linalg.det(b).real) - np.log(np.linalg.det(a).real))
-        worst = max(worst, abs(lhs - (term_e - term_h)))
-    checks.append(_entry("metric_anomaly_degree0", worst, max(1e-8, tol)))
+        return abs(lhs - (term_e - term_h))
 
-    def transgression_residual(seed, g):
+    def transgression(E):
+        lhs = exterior_d(FormElement(
+            E.base, {0: np.asarray(torsion_form(E).degree0, dtype=complex)}))
+        return _sup([lhs.coefficient(1) - char_form(E).coefficient(1)])
+
+    def circles(seed, grid):
         sub = np.random.default_rng(seed)
-        worst = 0.0
-        for _j in range(5):
-            E = random_circle_two_term(sub, grid=g)
-            res = torsion_form(E)
-            lhs = exterior_d(FormElement(
-                E.base, {0: np.asarray(res.degree0, dtype=complex)}))
-            diff = lhs.coefficient(1) - char_form(E).coefficient(1)
-            worst = max(worst, float(np.max(np.abs(diff))))
-        return worst
+        return (random_circle_two_term(sub, grid=grid) for _j in range(5))
 
+    (two,) = _fold(two_term, (random_invertible(rng, int(rng.integers(1, 5)))
+                              for _i in range(50)))
+    (eigen,) = _fold(lambda E: abs(torsion_form(E).degree0 - scalar_torsion_eigen(E)),
+                     (random_complex_instance(rng, length=int(rng.integers(1, 5)),
+                                              max_dim=5) for _i in range(100)))
+    (metric,) = _fold(anomaly, (anomaly_case() for _i in range(50)))
     seed = int(rng.integers(2 ** 32))
-    fine = transgression_residual(seed, grid)
-    coarse = transgression_residual(seed, grid // 2)
-    checks.append(_entry("transgression_on_circle_base", fine, 1e-6))
-    checks.append(_entry("transgression_residual_decreases_with_grid",
-                         fine - coarse, 0.0, ok=fine < coarse))
-    return checks
+    fine, coarse = (_fold(transgression, circles(seed, grid))[0] for grid in (64, 32))
+    return [_entry("two_term_torsion_is_minus_log_det", two, tol),
+            _entry("eigen_route_matches_quadrature", eigen, tol),
+            _entry("metric_anomaly_degree0", metric, max(1e-8, tol)),
+            _entry("transgression_on_circle_base", fine, 1e-6),
+            _entry("transgression_residual_decreases_with_grid",
+                   fine - coarse, 0.0, ok=fine < coarse)]
 
 
-def suite_spectral(rng, tolerance: float | None = None, **_) -> list:
-    tol = 1e-9 if tolerance is None else tolerance
-    checks = []
+def suite_spectral(rng, tol: float) -> list:
+    def doubles(count, **shape):
+        return (random_exact_row_double_complex(rng, **shape) for _i in range(count))
 
-    worst = 0.0
-    for _i in range(100):
-        D = random_exact_row_double_complex(rng)
-        worst = max(worst, page_decomposition_residual(D))
-    checks.append(_entry("torsion_decomposes_over_pages", worst, max(1e-8, tol)))
+    def splits(D):
+        data = three_column_les(D)
+        return (np.max(data.les.betti(), initial=0),
+                abs(data.torsion_les() - data.torsion_e1() - data.torsion_e2()))
 
-    worst_exact, worst_split = 0, 0.0
-    for _i in range(25):
-        data = three_column_les(random_exact_row_double_complex(rng))
-        worst_exact = max(worst_exact, *data.les.betti())
-        worst_split = max(worst_split, abs(
-            data.torsion_les() - data.torsion_e1() - data.torsion_e2()))
-    checks.append(_entry("long_exact_sequence_is_exact", worst_exact, 0.5))
-    checks.append(_entry("les_torsion_splits_over_pages", worst_split, tol))
+    def quadrature(D):
+        data = three_column_les(D)
+        return abs(data.torsion_les(method="quadrature") - data.torsion_les())
 
-    worst = 0.0
-    for _i in range(3):
-        data = three_column_les(random_exact_row_double_complex(
-            rng, n_rows=2, max_dim=2))
-        worst = max(worst, abs(data.torsion_les(method="quadrature")
-                               - data.torsion_les()))
-    checks.append(_entry("les_quadrature_route_agrees", worst, tol))
-    return checks
+    (pages,) = _fold(page_decomposition_residual, doubles(100))
+    exact, split = _fold(splits, doubles(25))
+    (quad,) = _fold(quadrature, doubles(3, n_rows=2, max_dim=2))
+    return [_entry("torsion_decomposes_over_pages", pages, max(1e-8, tol)),
+            _entry("long_exact_sequence_is_exact", exact, 0.5),
+            _entry("les_torsion_splits_over_pages", split, tol),
+            _entry("les_quadrature_route_agrees", quad, tol)]
 
 
-def suite_morse(rng, tolerance: float | None = None, **_) -> list:
-    tol = 1e-12 if tolerance is None else tolerance
-    checks = []
+def suite_morse(rng, tol: float) -> list:
+    def circles():
+        return (split_circle_data(random_invertible(rng, int(rng.integers(1, 4))))
+                for _i in range(10))
+
+    def arcs(ranks):
+        return ((rank, arc_data((random_unitary(rng, rank), random_unitary(rng, rank)),
+                                rank=rank)) for rank in ranks)
 
     # A Thom-Smale complex of a circle has two terms, so d^2 is also read
     # on the total complex of its relative -> full -> absolute columns.
-    worst = 0.0
-    for _i in range(10):
-        M = split_circle_data(random_invertible(rng, int(rng.integers(1, 4))))
-        for E in (thom_smale(M), total_complex(three_column_double(M))):
-            worst = max([worst, *(np.linalg.norm(b @ a) for a, b in zip(E.v, E.v[1:]))])
-    checks.append(_entry("differential_squares_to_zero", worst, tol))
+    def squares(M):
+        return _sup([b @ a for E in (thom_smale(M), total_complex(three_column_double(M)))
+                     for a, b in zip(E.v, E.v[1:])])
 
-    worst = 0
-    for _i in range(10):
-        D = three_column_double(split_circle_data(random_invertible(
-            rng, int(rng.integers(1, 4)))))
-        rows = D.transpose()
-        for q in range(D.Q):
-            worst = max(worst, *rows.column_complex(q).betti())
-    checks.append(_entry("generator_rows_exact_and_split", worst, 0.5))
+    def rows_betti(M):
+        rows = three_column_double(M).transpose()
+        return np.max([n for p in range(rows.P) for n in rows.column_complex(p).betti()],
+                      initial=0)
 
-    comm = iso = defect = anti = 0.0
-    for rank in (1, 2, 3):
-        t1, t2 = random_unitary(rng, rank), random_unitary(rng, rank)
-        P = psi_maps(arc_data((t1, t2), rank=rank))
-        for q in range(len(P.plus.v)):
-            diff = P.absolute.v[q] @ P.psi1[q] - P.psi1[q + 1] @ P.plus.v[q]
-            if diff.size:
-                comm = max(comm, float(np.max(np.abs(diff))))
-        for q in range(len(P.minus.v)):
-            diff = P.minus.v[q] @ P.psi2[q] - P.psi2[q + 1] @ P.relative.v[q]
-            if diff.size:
-                comm = max(comm, float(np.max(np.abs(diff))))
-        total, worst_anti = comparison_torsions(P)
-        defect = max(defect, abs(total + 0.5 * LOG2 * 2 * rank))
-        anti = max(anti, worst_anti)
-        for m in P.psi2:
-            if m.shape[1]:
-                iso = max(iso, float(np.max(np.abs(
-                    m.conj().T @ m - np.eye(m.shape[1])))))
-    checks.append(_entry("comparison_maps_commute", comm, tol))
-    checks.append(_entry("anti_invariant_map_is_isometry", iso, tol))
-    checks.append(_entry("boundary_defect_is_half_log2_per_generator", defect, tol))
-    checks.append(_entry("anti_invariant_torsions_vanish", anti, tol))
+    def comparison(case):
+        rank, P = case[0], psi_maps(case[1])
+        diffs = [*(P.absolute.v[q] @ P.psi1[q] - P.psi1[q + 1] @ P.plus.v[q]
+                   for q in range(len(P.plus.v))),
+                 *(P.minus.v[q] @ P.psi2[q] - P.psi2[q + 1] @ P.relative.v[q]
+                   for q in range(len(P.minus.v)))]
+        total, anti = comparison_torsions(P)
+        return (_sup(diffs), _sup(m.conj().T @ m - np.eye(m.shape[1]) for m in P.psi2),
+                abs(total + 0.5 * LOG2 * 2 * rank), anti)
 
-    worst = 0.0
-    for rank in (1, 2):
-        t1, t2 = random_unitary(rng, rank), random_unitary(rng, rank)
-        C = doubled_complex(double(arc_data((t1, t2), rank=rank)))
+    def parity(case):
+        C = doubled_complex(double(case[1]))
         plus, minus, _, _ = z2_split(C)
         tp, tm = scalar_torsion_eigen(plus), scalar_torsion_eigen(minus)
-        for element, chi in (("identity", 1.0), ("reflection", -1.0)):
-            worst = max(worst, abs(
-                morse_equivariant_torsion(C, element) - (tp + chi * tm)))
-    checks.append(_entry("equivariant_torsion_splits_by_parity", worst, tol))
-    return checks
+        return np.max([abs(morse_equivariant_torsion(C, element) - (tp + chi * tm))
+                       for element, chi in PARITIES])
+
+    (square,) = _fold(squares, circles())
+    (rows,) = _fold(rows_betti, circles())
+    comm, iso, defect, anti = _fold(comparison, arcs((1, 2, 3)))
+    (split,) = _fold(parity, arcs((1, 2)))
+    return [_entry("differential_squares_to_zero", square, tol),
+            _entry("generator_rows_exact_and_split", rows, 0.5),
+            _entry("comparison_maps_commute", comm, tol),
+            _entry("anti_invariant_map_is_isometry", iso, tol),
+            _entry("boundary_defect_is_half_log2_per_generator", defect, tol),
+            _entry("anti_invariant_torsions_vanish", anti, tol),
+            _entry("equivariant_torsion_splits_by_parity", split, tol)]
 
 
-def suite_analytic(rng, tolerance: float | None = None,
-                   precision: float = 1e-9, **_) -> list:
-    tol = 1e-7 if tolerance is None else tolerance
-    checks = []
+def suite_analytic(rng, tol: float) -> list:
+    references = [
+        *((ModelGeometry("interval", L, bc=bc), np.log(2.0 * L))
+          for L in (0.5, 1.0, 2.0) for bc in ("abs", "rel")),
+        *((ModelGeometry("circle", L), np.log(L ** 2)) for L in (0.5, 1.0, 2.0)),
+        *((ModelGeometry("circle", 1.0, holonomy=np.array([[np.exp(1j * theta)]])),
+           np.log(4.0 * np.sin(theta / 2) ** 2)) for theta in (0.4, np.pi / 2, 2.8))]
 
-    worst = 0.0
-    for L in (0.5, 1.0, 2.0):
-        for bc in ("abs", "rel"):
-            s = spectrum(ModelGeometry("interval", L, bc=bc))
-            worst = max(worst, abs(zeta_log_det(s, 0) - np.log(2.0 * L)))
-        s = spectrum(ModelGeometry("circle", L))
-        worst = max(worst, abs(zeta_log_det(s, 0) - np.log(L ** 2)))
-    for theta in (0.4, np.pi / 2, 2.8):
-        s = spectrum(ModelGeometry("circle", 1.0,
-                                   holonomy=np.array([[np.exp(1j * theta)]])))
-        worst = max(worst, abs(zeta_log_det(s, 0)
-                               - np.log(4.0 * np.sin(theta / 2) ** 2)))
-    checks.append(_entry("zeta_determinant_reference_values", worst, 1e-9))
-
-    worst = 0.0
-    for _i in range(10):
-        fam = QuadraticFamily(float(rng.uniform(0.3, 5.0)),
-                              float(rng.uniform(0.05, 1.0)),
-                              int(rng.integers(1, 4)))
-        worst = max(worst, abs(family_log_det(fam)
-                               - family_log_det(fam, "euler_maclaurin")))
-    checks.append(_entry("zeta_engine_matches_summation_oracle", worst, 1e-9))
-
-    geoms = [ModelGeometry("circle", 2.0),
-             ModelGeometry("circle", 0.7, holonomy=random_unitary(rng, 2)),
-             ModelGeometry("interval", 1.0, bc="abs"),
-             ModelGeometry("interval", 1.4, bc="rel", rank=2)]
-    worst = 0.0
-    quad = QuadratureSpec(tolerance=precision)
-    for g in geoms:
-        worst = max(worst, abs(torsion_via_heat_integral(g, quad)
-                               - scalar_torsion(g)))
-    checks.append(_entry("heat_integral_matches_zeta_route", worst, tol))
-
-    worst = 0.0
-    for g in geoms:
+    def heat(g):
         chi, chi_prime = euler_characteristics(g)
         s = spectrum(g)
-        worst = max(worst, abs(heat_supertrace(s, 1e-3) - 0.25 * chi))
-        worst = max(worst, abs(heat_supertrace(s, 1e3) - 0.5 * chi_prime))
-    checks.append(_entry("heat_supertrace_endpoint_limits", worst, 1e-4))
+        route = torsion_via_heat_integral(g, QuadratureSpec(tolerance=1e-9))
+        return (abs(route - scalar_torsion(g)),
+                np.max([abs(heat_supertrace(s, 1e-3) - 0.25 * chi),
+                        abs(heat_supertrace(s, 1e3) - 0.5 * chi_prime)]))
 
-    worst = 0.0
-    for L, r in ((0.6, 1), (1.0, 1), (2.3, 2)):
+    def double_split(case):
+        L, r = case
         g = ModelGeometry("interval", L, bc="abs", rank=r)
         t_abs = scalar_torsion(g)
         t_rel = scalar_torsion(ModelGeometry("interval", L, bc="rel", rank=r))
-        for element, chi in (("identity", 1.0), ("reflection", -1.0)):
-            worst = max(worst, abs(analytic_equivariant_torsion(g, element)
-                                   - (t_abs + chi * t_rel)))
-    checks.append(_entry("equivariant_torsion_of_the_double", worst, tol))
-    return checks
+        return np.max([abs(analytic_equivariant_torsion(g, element) - (t_abs + chi * t_rel))
+                       for element, chi in PARITIES])
+
+    (zeta,) = _fold(lambda case: abs(zeta_log_det(spectrum(case[0]), 0) - case[1]),
+                    references)
+    (oracle,) = _fold(lambda fam: abs(family_log_det(fam)
+                                      - family_log_det(fam, "euler_maclaurin")),
+                      (QuadraticFamily(float(rng.uniform(0.3, 5.0)),
+                                       float(rng.uniform(0.05, 1.0)),
+                                       int(rng.integers(1, 4))) for _i in range(10)))
+    route, limits = _fold(heat, [ModelGeometry("circle", 2.0),
+                                 ModelGeometry("circle", 0.7, holonomy=random_unitary(rng, 2)),
+                                 ModelGeometry("interval", 1.0, bc="abs"),
+                                 ModelGeometry("interval", 1.4, bc="rel", rank=2)])
+    (doubled,) = _fold(double_split, ((0.6, 1), (1.0, 1), (2.3, 2)))
+    return [_entry("zeta_determinant_reference_values", zeta, 1e-9),
+            _entry("zeta_engine_matches_summation_oracle", oracle, 1e-9),
+            _entry("heat_integral_matches_zeta_route", route, tol),
+            _entry("heat_supertrace_endpoint_limits", limits, 1e-4),
+            _entry("equivariant_torsion_of_the_double", doubled, tol)]
 
 
-def suite_gluing(rng, tolerance: float | None = None, **_) -> list:
-    tol = 1e-7 if tolerance is None else tolerance
-    checks = []
-
-    reports = standard_sweep(tol)
-    worst = max(abs(r["residual"]["value"]) for r in reports)
-    checks.append(_entry("gluing_identity_sweep", worst, tol))
-
+def suite_gluing(rng, tol: float) -> list:
+    (sweep,) = _fold(lambda r: abs(r["residual"]["value"]), standard_sweep(tol))
     flagship = GluingScenario("circle", 2.0, 0.5, holonomy=np.eye(1))
     report = verify_gluing_degree0(flagship, tol)
-    checks.append(_entry("flagship_analytic_lhs_vanishes",
-                         report["analytic_lhs"], 1e-9))
-    checks.append(_entry("flagship_correction_is_log2",
-                         report["log2_correction"] - LOG2, 1e-12))
-    checks.append(_entry("flagship_sequence_torsion_is_minus_log2",
-                         report["mv_torsion"] + LOG2, 1e-12))
-
+    checks = [_entry("gluing_identity_sweep", sweep, tol),
+              _entry("flagship_analytic_lhs_vanishes", report["analytic_lhs"], 1e-9),
+              _entry("flagship_correction_is_log2", report["log2_correction"] - LOG2, 1e-12),
+              _entry("flagship_sequence_torsion_is_minus_log2",
+                     report["mv_torsion"] + LOG2, 1e-12)]
     theta = float(rng.uniform(0.5, np.pi))
     twisted = GluingScenario("circle", 1.5, 0.4,
                              holonomy=np.diag([np.exp(1j * theta), 1.0]))
@@ -333,25 +298,24 @@ def suite_gluing(rng, tolerance: float | None = None, **_) -> list:
     return checks
 
 
+# suite and its default tolerance, which --tolerance replaces
 SUITES = {
-    "finite": suite_finite,
-    "spectral": suite_spectral,
-    "morse": suite_morse,
-    "analytic": suite_analytic,
-    "gluing": suite_gluing,
+    "finite": (suite_finite, 1e-9),
+    "spectral": (suite_spectral, 1e-9),
+    "morse": (suite_morse, 1e-12),
+    "analytic": (suite_analytic, 1e-7),
+    "gluing": (suite_gluing, 1e-7),
 }
 
 
-def run_verify(suite: str, seed: int = 0, tolerance: float | None = None,
-               grid: int = 64, precision: float = 1e-9) -> dict:
+def run_verify(suite: str, seed: int = 0, tolerance: float | None = None) -> dict:
     names = list(SUITES) if suite == "all" else [suite]
     rng = np.random.default_rng(seed)
     checks = []
     for name in names:
-        for entry in SUITES[name](rng, tolerance=tolerance, grid=grid,
-                                  precision=precision):
-            entry["suite"] = name
-            checks.append(entry)
+        run, default = SUITES[name]
+        tol = default if tolerance is None else tolerance
+        checks += [dict(entry, suite=name) for entry in run(rng, tol)]
     ok = all(c["verdict"] == "pass" for c in checks)
     return {"command": "verify", "suite": suite, "seed": seed,
             "checks": checks, "verdict": "pass" if ok else "fail"}
@@ -432,8 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("suite", choices=[*SUITES, "all"])
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--tolerance", type=float, default=None)
-    p_ver.add_argument("--precision", type=float, default=1e-9)
-    p_ver.add_argument("--grid", type=int, default=64)
     p_ver.add_argument("--report", choices=["json", "text"], default="text")
     return parser
 
@@ -445,9 +407,7 @@ def main(argv=None) -> int:
         if args.command == "torsion":
             report = run_torsion(args.input, args.kind)
         else:
-            report = run_verify(args.suite, seed=args.seed,
-                                tolerance=args.tolerance, grid=args.grid,
-                                precision=args.precision)
+            report = run_verify(args.suite, seed=args.seed, tolerance=args.tolerance)
     except NonFiniteDataError as exc:  # a ComplexDataError, but malformed input
         print(f"malformed input: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ from torsionlab.morse import (
     thom_smale,
     three_column_double,
 )
-from torsionlab.spectral import total_complex
+from torsionlab.spectral import page_decomposition_residual, total_complex
 
 LOG2 = float(np.log(2.0))
 
@@ -189,6 +189,28 @@ class TestVerifyCommand:
         entry = next(c for c in run_verify("morse", seed=5)["checks"]
                      if c["name"] == "differential_squares_to_zero")
         assert entry["value"] == 1.0 and entry["verdict"] == "fail"
+
+    @pytest.mark.parametrize("nan_at", [None, 2])
+    def test_nan_residual_fails_its_check(self, monkeypatch, capsys, nan_at):
+        # a fold seeded with max(0.0, ...) reads a NaN residual as 0.0 and
+        # passes it, whether every case or one case among real ones is NaN
+        calls = []
+
+        def residual(D):
+            calls.append(D)
+            if nan_at is None or len(calls) == nan_at:
+                return float("nan")
+            return page_decomposition_residual(D)
+
+        monkeypatch.setattr(cli, "page_decomposition_residual", residual)
+        entry = next(c for c in run_verify("spectral", seed=0)["checks"]
+                     if c["name"] == "torsion_decomposes_over_pages")
+        assert np.isnan(entry["value"]) and entry["verdict"] == "fail"
+        calls.clear()
+        assert main(["verify", "spectral", "--seed", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "spectral/torsion_decomposes_over_pages: value=nan" in out
+        assert "verdict: fail" in out
 
     def test_exit_code_zero_on_pass(self, capsys):
         assert main(["verify", "morse", "--seed", "1"]) == 0

@@ -123,3 +123,23 @@ def test_glue_builds_no_complex_by_hand():
     tree = ast.parse((ROOT / "src" / "torsionlab" / "glue.py").read_text())
     assert not [n for n in ast.walk(tree) if isinstance(n, ast.Call)
                 and ast.unparse(n.func) == "MetricComplex"]
+
+
+def test_verify_suites_fold_through_one_helper():
+    # cli._fold alone folds a check's residuals over its cases, and lets a
+    # NaN through; no function keeps a worst-so-far accumulator, whose
+    # max(0.0, nan) would read 0.0, and every suite goes through _fold
+    tree = ast.parse((ROOT / "src" / "torsionlab" / "cli.py").read_text())
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    stores = [f"{f.name}: {n.id}" for f in functions for n in ast.walk(f)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+              and n.id.startswith("worst")]
+    folds = [f"{f.name}: {ast.unparse(n)}" for f in functions for n in ast.walk(f)
+             if isinstance(n, ast.Call) and ast.unparse(n.func) == "max"
+             and any(isinstance(a, ast.Name) and a.id.startswith("worst")
+                     for arg in n.args for a in ast.walk(arg))]
+    assert stores == [] and folds == []
+    suites = [f for f in functions if f.name.startswith("suite_")]
+    assert len(suites) == 5
+    assert all(any(isinstance(n, ast.Call) and ast.unparse(n.func) == "_fold"
+                   for n in ast.walk(f)) for f in suites)
