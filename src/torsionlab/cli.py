@@ -96,7 +96,8 @@ INVARIANT_ERRORS = (MorseDataError, GeometryError, ComplexDataError,
 
 def _entry(name: str, value: float, tolerance: float, ok: bool | None = None) -> dict:
     value = float(value)
-    ok = abs(value) < tolerance if ok is None else ok
+    if ok is None:
+        ok = abs(value) < tolerance
     return {"name": name, "value": value, "tolerance": float(tolerance),
             "verdict": "pass" if ok else "fail"}
 
@@ -121,6 +122,9 @@ def suite_finite(rng, tol: float) -> list:
     def two_term(tau):
         E = MetricComplex([len(tau)] * 2, [tau], [np.eye(len(tau), dtype=complex)] * 2)
         return abs(torsion_form(E).degree0 + np.log(np.abs(np.linalg.det(tau))))
+
+    def routes(E):
+        return abs(torsion_form(E).degree0 - scalar_torsion_eigen(E))
 
     def anomaly_case():
         E = random_complex_instance(rng, length=int(rng.integers(1, 4)), max_dim=4)
@@ -147,14 +151,15 @@ def suite_finite(rng, tol: float) -> list:
         sub = np.random.default_rng(seed)
         return (random_circle_two_term(sub, grid=grid) for _j in range(5))
 
-    (two,) = _fold(two_term, (random_invertible(rng, int(rng.integers(1, 5)))
-                              for _i in range(50)))
-    (eigen,) = _fold(lambda E: abs(torsion_form(E).degree0 - scalar_torsion_eigen(E)),
-                     (random_complex_instance(rng, length=int(rng.integers(1, 5)),
-                                              max_dim=5) for _i in range(100)))
+    taus = (random_invertible(rng, int(rng.integers(1, 5))) for _i in range(50))
+    (two,) = _fold(two_term, taus)
+    instances = (random_complex_instance(rng, length=int(rng.integers(1, 5)), max_dim=5)
+                 for _i in range(100))
+    (eigen,) = _fold(routes, instances)
     (metric,) = _fold(anomaly, (anomaly_case() for _i in range(50)))
     seed = int(rng.integers(2 ** 32))
-    fine, coarse = (_fold(transgression, circles(seed, grid))[0] for grid in (64, 32))
+    (fine,) = _fold(transgression, circles(seed, 64))
+    (coarse,) = _fold(transgression, circles(seed, 32))
     return [_entry("two_term_torsion_is_minus_log_det", two, tol),
             _entry("eigen_route_matches_quadrature", eigen, tol),
             _entry("metric_anomaly_degree0", metric, max(1e-8, tol)),
@@ -197,8 +202,9 @@ def suite_morse(rng, tol: float) -> list:
     # A Thom-Smale complex of a circle has two terms, so d^2 is also read
     # on the total complex of its relative -> full -> absolute columns.
     def squares(M):
-        return _sup([b @ a for E in (thom_smale(M), total_complex(three_column_double(M)))
-                     for a, b in zip(E.v, E.v[1:])])
+        complexes = (thom_smale(M), total_complex(three_column_double(M)))
+        return np.max([np.linalg.norm(b @ a)
+                       for E in complexes for a, b in zip(E.v, E.v[1:])], initial=0.0)
 
     def rows_betti(M):
         rows = three_column_double(M).transpose()
@@ -206,13 +212,15 @@ def suite_morse(rng, tol: float) -> list:
                       initial=0)
 
     def comparison(case):
-        rank, P = case[0], psi_maps(case[1])
-        diffs = [*(P.absolute.v[q] @ P.psi1[q] - P.psi1[q + 1] @ P.plus.v[q]
-                   for q in range(len(P.plus.v))),
-                 *(P.minus.v[q] @ P.psi2[q] - P.psi2[q + 1] @ P.relative.v[q]
-                   for q in range(len(P.minus.v)))]
+        rank, arc = case
+        P = psi_maps(arc)
+        invariant = [P.absolute.v[q] @ P.psi1[q] - P.psi1[q + 1] @ P.plus.v[q]
+                     for q in range(len(P.plus.v))]
+        anti_invariant = [P.minus.v[q] @ P.psi2[q] - P.psi2[q + 1] @ P.relative.v[q]
+                          for q in range(len(P.minus.v))]
+        isometry = [m.conj().T @ m - np.eye(m.shape[1]) for m in P.psi2]
         total, anti = comparison_torsions(P)
-        return (_sup(diffs), _sup(m.conj().T @ m - np.eye(m.shape[1]) for m in P.psi2),
+        return (_sup(invariant + anti_invariant), _sup(isometry),
                 abs(total + 0.5 * LOG2 * 2 * rank), anti)
 
     def parity(case):
@@ -236,12 +244,27 @@ def suite_morse(rng, tol: float) -> list:
 
 
 def suite_analytic(rng, tol: float) -> list:
-    references = [
-        *((ModelGeometry("interval", L, bc=bc), np.log(2.0 * L))
-          for L in (0.5, 1.0, 2.0) for bc in ("abs", "rel")),
-        *((ModelGeometry("circle", L), np.log(L ** 2)) for L in (0.5, 1.0, 2.0)),
-        *((ModelGeometry("circle", 1.0, holonomy=np.array([[np.exp(1j * theta)]])),
-           np.log(4.0 * np.sin(theta / 2) ** 2)) for theta in (0.4, np.pi / 2, 2.8))]
+    references = []
+    for L in (0.5, 1.0, 2.0):
+        for bc in ("abs", "rel"):
+            references.append((ModelGeometry("interval", L, bc=bc), np.log(2.0 * L)))
+        references.append((ModelGeometry("circle", L), np.log(L ** 2)))
+    for theta in (0.4, np.pi / 2, 2.8):
+        holonomy = np.array([[np.exp(1j * theta)]])
+        references.append((ModelGeometry("circle", 1.0, holonomy=holonomy),
+                           np.log(4.0 * np.sin(theta / 2) ** 2)))
+
+    def zeta(case):
+        g, reference = case
+        return abs(zeta_log_det(spectrum(g), 0) - reference)
+
+    def family():
+        return QuadraticFamily(float(rng.uniform(0.3, 5.0)),
+                               float(rng.uniform(0.05, 1.0)),
+                               int(rng.integers(1, 4)))
+
+    def oracle(fam):
+        return abs(family_log_det(fam) - family_log_det(fam, "euler_maclaurin"))
 
     def heat(g):
         chi, chi_prime = euler_characteristics(g)
@@ -259,20 +282,16 @@ def suite_analytic(rng, tol: float) -> list:
         return np.max([abs(analytic_equivariant_torsion(g, element) - (t_abs + chi * t_rel))
                        for element, chi in PARITIES])
 
-    (zeta,) = _fold(lambda case: abs(zeta_log_det(spectrum(case[0]), 0) - case[1]),
-                    references)
-    (oracle,) = _fold(lambda fam: abs(family_log_det(fam)
-                                      - family_log_det(fam, "euler_maclaurin")),
-                      (QuadraticFamily(float(rng.uniform(0.3, 5.0)),
-                                       float(rng.uniform(0.05, 1.0)),
-                                       int(rng.integers(1, 4))) for _i in range(10)))
-    route, limits = _fold(heat, [ModelGeometry("circle", 2.0),
-                                 ModelGeometry("circle", 0.7, holonomy=random_unitary(rng, 2)),
-                                 ModelGeometry("interval", 1.0, bc="abs"),
-                                 ModelGeometry("interval", 1.4, bc="rel", rank=2)])
+    (reference,) = _fold(zeta, references)
+    (summation,) = _fold(oracle, (family() for _i in range(10)))
+    geoms = [ModelGeometry("circle", 2.0),
+             ModelGeometry("circle", 0.7, holonomy=random_unitary(rng, 2)),
+             ModelGeometry("interval", 1.0, bc="abs"),
+             ModelGeometry("interval", 1.4, bc="rel", rank=2)]
+    route, limits = _fold(heat, geoms)
     (doubled,) = _fold(double_split, ((0.6, 1), (1.0, 1), (2.3, 2)))
-    return [_entry("zeta_determinant_reference_values", zeta, 1e-9),
-            _entry("zeta_engine_matches_summation_oracle", oracle, 1e-9),
+    return [_entry("zeta_determinant_reference_values", reference, 1e-9),
+            _entry("zeta_engine_matches_summation_oracle", summation, 1e-9),
             _entry("heat_integral_matches_zeta_route", route, tol),
             _entry("heat_supertrace_endpoint_limits", limits, 1e-4),
             _entry("equivariant_torsion_of_the_double", doubled, tol)]
@@ -315,7 +334,8 @@ def run_verify(suite: str, seed: int = 0, tolerance: float | None = None) -> dic
     for name in names:
         run, default = SUITES[name]
         tol = default if tolerance is None else tolerance
-        checks += [dict(entry, suite=name) for entry in run(rng, tol)]
+        for entry in run(rng, tol):
+            checks.append(dict(entry, suite=name))
     ok = all(c["verdict"] == "pass" for c in checks)
     return {"command": "verify", "suite": suite, "seed": seed,
             "checks": checks, "verdict": "pass" if ok else "fail"}

@@ -358,7 +358,7 @@ def comparison_torsions(P: PsiMaps):
                                                   [np.eye(m.shape[1]), np.eye(m.shape[0])]))
 
     defect = sum(((-1.0) ** q) * torsion(m) for q, m in enumerate(P.psi1) if m.shape[0])
-    anti = max((abs(torsion(m)) for m in P.psi2 if m.shape[1]), default=0.0)
+    anti = np.max([abs(torsion(m)) for m in P.psi2 if m.shape[1]], initial=0.0)
     return defect, anti
 
 

@@ -1,5 +1,6 @@
 """Tests for the command-line entry points and report plumbing."""
 
+import dataclasses
 import importlib
 import inspect
 import json
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import torsionlab
-from torsionlab import cli
+from torsionlab import cli, morse
 from torsionlab.analytic import ModelGeometry, geometry_to_json
 from torsionlab.cli import format_report, main, run_torsion, run_verify
 from torsionlab.complexes import MetricComplex, complex_to_json
@@ -22,8 +23,10 @@ from torsionlab.morse import (
     Instanton,
     MorseData,
     arc_data,
+    comparison_torsions,
     double,
     morse_to_json,
+    psi_maps,
     split_circle_data,
     thom_smale,
     three_column_double,
@@ -189,20 +192,31 @@ class TestVerifyCommand:
         entry = next(c for c in run_verify("morse", seed=5)["checks"]
                      if c["name"] == "differential_squares_to_zero")
         assert entry["value"] == 1.0 and entry["verdict"] == "fail"
+        # d^2 = 6e-13 in each of four entries: its Frobenius norm 1.2e-12
+        # fails the 1e-12 gate, though no single entry does
+        monkeypatch.setattr(cli, "total_complex", lambda D: MetricComplex(
+            [2, 2, 2], [np.full((2, 2), 6e-13), np.eye(2)], [np.eye(2)] * 3))
+        entry = next(c for c in run_verify("morse", seed=5)["checks"]
+                     if c["name"] == "differential_squares_to_zero")
+        assert entry["value"] == pytest.approx(1.2e-12) and entry["verdict"] == "fail"
 
     @pytest.mark.parametrize("nan_at", [None, 2])
     def test_nan_residual_fails_its_check(self, monkeypatch, capsys, nan_at):
         # a fold seeded with max(0.0, ...) reads a NaN residual as 0.0 and
-        # passes it, whether every case or one case among real ones is NaN
+        # passes it, and max(1.0, nan) reads 1.0: a NaN in every call, or
+        # in the second call only, must fail its check
         calls = []
 
-        def residual(D):
-            calls.append(D)
-            if nan_at is None or len(calls) == nan_at:
-                return float("nan")
-            return page_decomposition_residual(D)
+        def nan_at_call(original):
+            def wrapped(*args):
+                calls.append(args)
+                if nan_at is None or len(calls) == nan_at:
+                    return float("nan")
+                return original(*args)
+            return wrapped
 
-        monkeypatch.setattr(cli, "page_decomposition_residual", residual)
+        monkeypatch.setattr(cli, "page_decomposition_residual",
+                            nan_at_call(page_decomposition_residual))
         entry = next(c for c in run_verify("spectral", seed=0)["checks"]
                      if c["name"] == "torsion_decomposes_over_pages")
         assert np.isnan(entry["value"]) and entry["verdict"] == "fail"
@@ -211,6 +225,21 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "spectral/torsion_decomposes_over_pages: value=nan" in out
         assert "verdict: fail" in out
+
+        # the anti-invariant torsions are folded inside comparison_torsions;
+        # three isometries give three torsions, of which the second may be NaN
+        monkeypatch.setattr(morse, "scalar_torsion_eigen",
+                            nan_at_call(morse.scalar_torsion_eigen))
+        P = dataclasses.replace(psi_maps(arc_data(rank=1)), psi1=[],
+                                psi2=[np.eye(1)] * 3)
+        calls.clear()
+        assert np.isnan(comparison_torsions(P)[1])
+        calls.clear()
+        checks = run_verify("morse", seed=0)["checks"]
+        nans = [c for c in checks if np.isnan(c["value"])]
+        assert nans and all(c["verdict"] == "fail" for c in nans)
+        calls.clear()
+        assert main(["verify", "morse", "--seed", "0"]) == 1
 
     def test_exit_code_zero_on_pass(self, capsys):
         assert main(["verify", "morse", "--seed", "1"]) == 0
