@@ -18,6 +18,8 @@ weights eigenvalue families by the reflection character.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +47,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+# Gamma(a) ~ 1/a overflows a float for every a at or below 1 / (largest float)
+_A_MIN = 1.0 / sys.float_info.max
 
 
 class GeometryError(ValueError):
@@ -100,6 +104,14 @@ class QuadraticFamily:
     parity: str = "none"     # "even" / "odd" under the doubling reflection
 
 
+def _check_family(fam: QuadraticFamily) -> None:
+    """Raise GeometryError unless 0 < c < inf and 0 < a <= 1 with Gamma(a)
+    finite: the domain of the Hurwitz values behind family_log_det."""
+    if not (0 < fam.c < math.inf and _A_MIN < fam.a <= 1):
+        raise GeometryError("family parameters must satisfy c>0, 0<a<=1 with "
+                            f"Gamma(a) finite; got c={fam.c!r}, a={fam.a!r}")
+
+
 @dataclass
 class SpectrumData:
     families: list          # per degree q: list of QuadraticFamily
@@ -108,8 +120,7 @@ class SpectrumData:
     def validate(self) -> "SpectrumData":
         for fams in self.families:
             for f in fams:
-                if f.c <= 0 or not (0 < f.a <= 1):
-                    raise GeometryError("family parameters must satisfy c>0, 0<a<=1")
+                _check_family(f)
         # one-dimensional Hodge duality: the nonzero spectra in the two
         # degrees agree as multisets of families
         key = lambda fams: sorted((round(f.c, 12), round(f.a, 12), f.mult)
@@ -176,9 +187,9 @@ def family_log_det(fam: QuadraticFamily, method: str = "closed",
     "euler_maclaurin" route differentiates an order-4 Euler-Maclaurin
     continuation at s = 0 by a complex step.
     """
+    _check_family(fam)
     if method == "closed":
-        from scipy.special import gammaln  # here: importing scipy costs ~26 MB and ~0.3 s
-        val = 2.0 * np.log(fam.c) * (0.5 - fam.a) - 2.0 * gammaln(fam.a) \
+        val = 2.0 * np.log(fam.c) * (0.5 - fam.a) - 2.0 * math.log(math.gamma(fam.a)) \
             + np.log(_TWO_PI)
         return fam.mult * float(val)
     if method != "euler_maclaurin":

@@ -276,11 +276,27 @@ class TestVerifyCommand:
         assert "verdict: pass" in proc.stdout
 
     def test_finite_suite_does_not_import_scipy(self):
-        # scipy serves only the closed zeta route, which imports it itself
+        # the library needs numpy and the standard library alone
         src = os.path.dirname(os.path.dirname(os.path.abspath(torsionlab.__file__)))
         code = ("import sys\n"
                 "from torsionlab import cli, glue\n"
                 "assert cli.main(['verify', 'finite', '--seed', '3']) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_no_command_imports_scipy(self, tmp_path):
+        # every verify suite, and the torsion command on a geometry (the
+        # closed zeta route), runs on numpy and the standard library alone
+        src = os.path.dirname(os.path.dirname(os.path.abspath(torsionlab.__file__)))
+        path = write(tmp_path, "circle.json", geometry_to_json(
+            ModelGeometry("circle", 1.5, holonomy=np.array([[np.exp(0.7j)]]))))
+        code = ("import sys\n"
+                "from torsionlab.cli import main\n"
+                "assert main(['verify', 'all', '--seed', '3']) == 0\n"
+                f"assert main(['torsion', {path!r}, '--kind', 'geometry']) == 0\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=120)

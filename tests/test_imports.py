@@ -32,6 +32,18 @@ def test_no_unused_imports():
     assert [u for f in files for u in unused_imports(f)] == []
 
 
+def test_library_does_not_import_scipy():
+    # the runtime is numpy and the standard library; scipy is a test reference
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.relative_to(ROOT)}:{node.lineno} {n}"
+                      for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
+
+
 def linalg_calls(path):
     """Names f of every ``np.linalg.f(...)`` call in the file."""
     tree = ast.parse(path.read_text(), str(path))
